@@ -1,7 +1,7 @@
 //! Slota–Madduri-style BCC (HiPC'14) — the **SM'14** baseline.
 //!
-//! Behavioural stand-in for the better of the two SM'14 algorithms (see
-//! DESIGN.md §3): a BFS spanning tree provides the skeleton exactly as in
+//! Behavioural stand-in for the better of the two SM'14 algorithms (the
+//! baseline of the paper's evaluation, §6): a BFS spanning tree provides the skeleton exactly as in
 //! [`crate::bfs_bcc()`](crate::bfs_bcc::bfs_bcc), but the skeleton's connected components are found by
 //! **iterative min-label propagation** instead of union–find — the
 //! coloring style of SM'14's BCC-Color. Two fidelity-relevant properties

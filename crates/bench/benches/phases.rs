@@ -1,5 +1,5 @@
-//! Ablation benchmarks over FAST-BCC's design choices (the knobs DESIGN.md
-//! calls out): connectivity scheme (LDD-UF-JTB vs UF-Async), local-search
+//! Ablation benchmarks over FAST-BCC's implementation choices (paper §5):
+//! connectivity scheme (LDD-UF-JTB vs UF-Async), local-search
 //! granularity control (the Fig. 6 toggle), on one low-diameter and one
 //! large-diameter input.
 

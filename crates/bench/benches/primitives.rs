@@ -1,6 +1,6 @@
-//! Microbenchmarks for the ParlayLib-equivalent primitives (substrates
-//! S2–S4 of DESIGN.md): scan, pack, counting/radix sort, semisort, and
-//! sparse-table RMQ build/query.
+//! Microbenchmarks for the ParlayLib-equivalent primitives the paper's
+//! implementation builds on (§5): scan, pack, counting/radix sort,
+//! semisort, and sparse-table RMQ build/query.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fastbcc_primitives::rmq::{RmqKind, SparseTable};

@@ -1,18 +1,21 @@
-//! Microbenchmark for the flat primitive kernels: scalar dispatch vs the
-//! chunked vectorized paths (`fastbcc_primitives::kernels`), measured on
-//! the same inputs with preallocated outputs so warm repetitions allocate
-//! nothing. Emits a single JSON document (default `BENCH_primitives.json`)
-//! that the bench-smoke CI job gates on: every row must carry the full
-//! column set and report `warm_fresh_alloc_bytes == 0`.
+//! Microbenchmark for the flat primitive kernels: each kernelized entry
+//! point (`prefix_sums`, `scan_inclusive_u64`, `pack_neq_into`,
+//! `pack_bits_into`) against the generic blocked scan / pack it
+//! specializes, measured on the same inputs with preallocated outputs so
+//! warm repetitions allocate nothing. `scalar_secs` times the generic
+//! reference and `simd_secs` the kernel path. Emits a single JSON
+//! document (default `BENCH_primitives.json`) that the bench-smoke CI job
+//! gates on: every row must carry the full column set and report
+//! `warm_fresh_alloc_bytes == 0`.
 //!
 //! Usage: `primitives [--n 4194304] [--reps 5] [--threads 0] [--json PATH]`
 //! (`--threads 0` = the runtime default, honoring `FASTBCC_THREADS`).
 
 use fastbcc_bench::measure::{time_median, Args};
-use fastbcc_primitives::{pack, scan, sort, with_threads};
+use fastbcc_primitives::{pack, scan, with_threads};
 use std::io::Write as _;
 
-/// One scalar-vs-vectorized comparison row.
+/// One reference-vs-kernel comparison row.
 struct Row {
     primitive: &'static str,
     n: usize,
@@ -69,13 +72,15 @@ fn rand_u32s(n: usize, seed: u64) -> Vec<u32> {
 /// What [`compare`] asks of its single driver closure — one closure (not
 /// three) so it can own mutable borrows of the shared input/output buffers.
 enum Op {
+    /// The generic reference path.
     Scalar,
+    /// The kernelized entry point.
     Simd,
     /// Return the total output-buffer capacity in bytes.
     CapacityBytes,
 }
 
-/// Time the scalar and vectorized paths over `reps` warm repetitions each
+/// Time the reference and kernel paths over `reps` warm repetitions each
 /// (after one untimed cold call apiece), tracking output-capacity growth
 /// across the timed region.
 fn compare(
@@ -120,7 +125,7 @@ fn main() {
 
     for r in &rows {
         eprintln!(
-            "{:<22} n={:>9} t={} scalar {:>10.6}s simd {:>10.6}s speedup {:>5.2}x",
+            "{:<22} n={:>9} t={} reference {:>10.6}s kernel {:>10.6}s speedup {:>5.2}x",
             r.primitive,
             r.n,
             r.threads,
@@ -137,7 +142,7 @@ fn main() {
         .collect::<Vec<_>>()
         .join(",\n    ");
     let doc = format!(
-        "{{\n  \"description\": \"scalar vs vectorized flat-primitive kernels \
+        "{{\n  \"description\": \"generic reference vs kernelized flat-primitive entry points \
          (median of {reps} warm reps, preallocated outputs)\",\n  \
          \"threads\": {threads},\n  \"rows\": [\n    {body}\n  ]\n}}\n"
     );
@@ -161,11 +166,11 @@ fn run_all(n: usize, reps: usize, threads: usize) -> Vec<Row> {
             match op {
                 Op::Scalar => {
                     buf.copy_from_slice(&base);
-                    scan::prefix_sums_scalar(&mut buf);
+                    scan::scan_exclusive_inplace(&mut buf, 0usize, |x, y| x + y);
                 }
                 Op::Simd => {
                     buf.copy_from_slice(&base);
-                    scan::prefix_sums_vectorized(&mut buf);
+                    scan::prefix_sums(&mut buf);
                 }
                 Op::CapacityBytes => return buf.capacity() * std::mem::size_of::<usize>(),
             }
@@ -181,11 +186,11 @@ fn run_all(n: usize, reps: usize, threads: usize) -> Vec<Row> {
             match op {
                 Op::Scalar => {
                     buf.copy_from_slice(&base);
-                    scan::scan_inclusive_u64_scalar(&mut buf);
+                    scan::scan_inclusive_inplace(&mut buf, 0u64, |x, y| x + y);
                 }
                 Op::Simd => {
                     buf.copy_from_slice(&base);
-                    scan::scan_inclusive_u64_vectorized(&mut buf);
+                    scan::scan_inclusive_u64(&mut buf);
                 }
                 Op::CapacityBytes => return buf.capacity() * std::mem::size_of::<u64>(),
             }
@@ -201,13 +206,16 @@ fn run_all(n: usize, reps: usize, threads: usize) -> Vec<Row> {
             .iter()
             .map(|&x| if x & 1 == 0 { x >> 1 } else { EMPTY })
             .collect();
+        let reference = |out: &mut Vec<u32>| {
+            pack::pack_map_into(src.len(), |i| src[i] != EMPTY, |i| src[i], out)
+        };
         let mut out: Vec<u32> = Vec::new();
-        pack::pack_neq_into_scalar(&src, EMPTY, &mut out);
+        reference(&mut out);
         let mut out2 = out.clone();
         rows.push(compare("pack_neq_u32", n, threads, reps, |op| {
             match op {
-                Op::Scalar => pack::pack_neq_into_scalar(&src, EMPTY, &mut out),
-                Op::Simd => pack::pack_neq_into_vectorized(&src, EMPTY, &mut out2),
+                Op::Scalar => reference(&mut out),
+                Op::Simd => pack::pack_neq_into(&src, EMPTY, &mut out2),
                 Op::CapacityBytes => {
                     return (out.capacity() + out2.capacity()) * std::mem::size_of::<u32>()
                 }
@@ -223,50 +231,23 @@ fn run_all(n: usize, reps: usize, threads: usize) -> Vec<Row> {
             .zip(rand_u32s(n.div_ceil(64), 5).iter())
             .map(|(&a, &b)| ((a as u64) << 32) | b as u64)
             .collect();
+        let reference = |out: &mut Vec<u32>| {
+            let bit = |v: usize| words[v / 64] >> (v % 64) & 1 == 1;
+            pack::pack_map_into(n, bit, |v| v as u32, out)
+        };
         let mut out: Vec<u32> = Vec::new();
-        pack::pack_bits_into_scalar(&words, n, &mut out);
+        reference(&mut out);
         let mut out2 = out.clone();
         rows.push(compare("pack_bits_u64", n, threads, reps, |op| {
             match op {
-                Op::Scalar => pack::pack_bits_into_scalar(&words, n, &mut out),
-                Op::Simd => pack::pack_bits_into_vectorized(&words, n, &mut out2),
+                Op::Scalar => reference(&mut out),
+                Op::Simd => pack::pack_bits_into(&words, n, &mut out2),
                 Op::CapacityBytes => {
                     return (out.capacity() + out2.capacity()) * std::mem::size_of::<u32>()
                 }
             }
             0
         }));
-    }
-
-    // --- Counting-sort scatter (the semisort behind skeleton grouping). ---
-    {
-        let k = 256usize;
-        let items: Vec<u32> = rand_u32s(n / 2, 6).iter().map(|&x| x % k as u32).collect();
-        let key = |x: &u32| *x as usize;
-        let mut out: Vec<u32> = Vec::new();
-        let mut offs: Vec<usize> = Vec::new();
-        sort::counting_sort_by_into(&items, k, key, &mut out, &mut offs);
-        let mut out2 = out.clone();
-        let mut offs2 = offs.clone();
-        rows.push(compare(
-            "counting_sort_u32_k256",
-            n / 2,
-            threads,
-            reps,
-            |op| {
-                match op {
-                    Op::Scalar => sort::counting_sort_by_into(&items, k, key, &mut out, &mut offs),
-                    Op::Simd => {
-                        sort::counting_sort_seq_vectorized(&items, k, key, &mut out2, &mut offs2)
-                    }
-                    Op::CapacityBytes => {
-                        return (out.capacity() + out2.capacity()) * std::mem::size_of::<u32>()
-                            + (offs.capacity() + offs2.capacity()) * std::mem::size_of::<usize>()
-                    }
-                }
-                0
-            },
-        ));
     }
 
     rows

@@ -1,7 +1,7 @@
 //! # fastbcc-bench
 //!
 //! The benchmark harness regenerating every table and figure of the
-//! paper's evaluation (§6). See DESIGN.md §5 for the experiment index.
+//! paper's evaluation (§6); the binary table below is the experiment index.
 //!
 //! * [`suite`] — the 20-graph benchmark collection mirroring Tab. 2's five
 //!   categories at laptop scale (all sizes scale with `--scale`);

@@ -97,7 +97,7 @@ pub struct RunRecord {
     /// Cumulative successful deque steals in the worker pool when the
     /// record was taken (process-lifetime counter; deltas between records
     /// show how much load balancing a run needed). Always 0 under the
-    /// sequential budget or when `real-rayon` replaces the shim.
+    /// sequential budget or when upstream rayon replaces the shim.
     pub steal_count: u64,
     /// High-water mark of any worker's deque depth (process lifetime) —
     /// bounded by the pool's fixed deque capacity, so a value near that

@@ -1,7 +1,7 @@
 //! The benchmark graph suite — a laptop-scale mirror of Tab. 2.
 //!
 //! Names ending in `*` are category-equivalent substitutes for the paper's
-//! real-world datasets (DESIGN.md §3); the synthetic family (SQR, REC,
+//! real-world datasets (paper §6, Tab. 2); the synthetic family (SQR, REC,
 //! SQR', REC', Chn) reproduces the paper's construction exactly, scaled
 //! down. `--scale s` multiplies vertex counts by `s` (the paper's sizes
 //! correspond to roughly `scale = 100`… on a 96-core/1.5TB machine).

@@ -36,11 +36,13 @@
 //!   `BccIndex::build` never see ghost blocks), recount the label histogram
 //!   and the BCC/CC census.
 //!
-//! Anything outside the fast paths — churn above [`DynOpts::max_churn_frac`],
-//! a cross-component insertion, a budget overrun, or a re-hang that fails to
-//! reach every vertex — falls back to a full warm `solve` on the already
-//! updated graph, so `apply_batch` is *always* exact; the fallback reason is
-//! reported in [`ApplyReport`] for operator visibility.
+//! Anything outside the fast paths — a batch above 5% of the edge count,
+//! a cross-component insertion no region re-root absorbs, a cap or budget
+//! overrun, or a re-hang that fails to reach every vertex — falls back to
+//! a full warm `solve` on the already updated graph, so `apply_batch` is
+//! *always* exact; the fallback reason is reported in [`ApplyReport`] for
+//! operator visibility. The caps are the private constants below; there
+//! are no tuning knobs.
 //!
 //! **Tag staleness contract**: after an incremental batch the result's
 //! `tags.parent` is maintained, but `first`/`last`/`low`/`high` are stale.
@@ -53,39 +55,19 @@ use crate::engine::{result_heap_bytes, BccEngine};
 use fastbcc_graph::delta::{apply_delta, DeltaScratch, GraphDelta};
 use fastbcc_graph::{Graph, NONE, V};
 
-/// Tuning knobs for [`BccEngine::apply_batch`].
-#[derive(Clone, Copy, Debug)]
-pub struct DynOpts {
-    /// Batches larger than this fraction of the current edge count fall
-    /// back to a full solve (the crossover where re-deriving everything is
-    /// cheaper than per-event maintenance).
-    pub max_churn_frac: f64,
-    /// Vertex-visit budget for each disjoint-paths certificate BFS. The
-    /// whole batch additionally shares an aggregate visit budget of
-    /// `max(cert_cap, m / 4)`, so a run of expensive certificates (long
-    /// thin blocks) degrades into a fallback instead of outspending the
-    /// full solve it is meant to avoid.
-    pub cert_cap: usize,
-    /// Maximum block size (vertices) a local region re-solve may handle.
-    pub sub_cap: usize,
-    /// Arc-scan budget while collecting a region (guards high-degree
-    /// block heads).
-    pub sub_arc_cap: usize,
-    /// Maximum combined head-chain length walked per insertion.
-    pub chain_cap: usize,
-}
-
-impl Default for DynOpts {
-    fn default() -> Self {
-        Self {
-            max_churn_frac: 0.05,
-            cert_cap: 65536,
-            sub_cap: 4096,
-            sub_arc_cap: 65536,
-            chain_cap: 512,
-        }
-    }
-}
+/// Batches larger than this fraction of the current edge count fall back
+/// to a full solve (the crossover where re-deriving everything is cheaper
+/// than per-event maintenance).
+const MAX_CHURN_FRAC: f64 = 0.05;
+/// Vertex-visit budget for each disjoint-paths certificate BFS; also the
+/// floor of the per-batch aggregate work budget `max(n + m, CERT_CAP)`.
+const CERT_CAP: usize = 65536;
+/// Maximum region size (vertices) a local re-solve may handle.
+const SUB_CAP: usize = 4096;
+/// Arc-scan budget while collecting a region (guards high-degree heads).
+const SUB_ARC_CAP: usize = 65536;
+/// Maximum combined head-chain length walked per insertion.
+const CHAIN_CAP: usize = 512;
 
 /// What the last [`BccEngine::apply_batch`] did.
 #[derive(Clone, Copy, Debug, Default)]
@@ -114,8 +96,8 @@ pub struct ApplyReport {
     /// Insertions that linked two trees in `O(1)` (one endpoint was a
     /// tree root — e.g. an isolated vertex — hung under the other).
     pub adds_linked: usize,
-    /// Cross-tree insertions absorbed by re-rooting one tree along an
-    /// all-bridge root path (no label changes; `head`/`parent` flips only).
+    /// Cross-tree insertions absorbed by a region re-root: one endpoint's
+    /// whole component re-solved locally and hung under the other.
     pub adds_rerooted: usize,
     /// Whether the batch ended with a parent re-hang BFS.
     pub rehang: bool,
@@ -125,8 +107,9 @@ pub struct ApplyReport {
 /// a warm batch performs no clearing passes and no allocations.
 #[derive(Default)]
 pub struct DynState {
-    /// Tuning knobs (see [`DynOpts`]).
-    pub opts: DynOpts,
+    // Churn gate as a fraction of `m`; `None` is [`MAX_CHURN_FRAC`]. Only
+    // this module's tests override it.
+    churn_frac: Option<f64>,
     graph: Option<Graph>,
     delta: GraphDelta,
     delta_scratch: DeltaScratch,
@@ -167,23 +150,23 @@ pub struct DynState {
     sub: Option<Box<BccEngine>>,
 }
 
-/// [`ApplyReport::fallback`] reason: the batch exceeded
-/// [`DynOpts::max_churn_frac`].
+/// [`ApplyReport::fallback`] reason: the batch exceeded 5% of the edge
+/// count.
 pub const FB_CHURN: &str = "churn";
 /// [`ApplyReport::fallback`] reason: an insertion joined two connected
 /// components (the block-cut chain walk found no common block).
 pub const FB_CROSS: &str = "cross_component";
 /// [`ApplyReport::fallback`] reason: a block-cut chain walk exceeded
-/// [`DynOpts::chain_cap`].
+/// 512 blocks.
 pub const FB_CHAIN: &str = "chain_cap";
-/// [`ApplyReport::fallback`] reason: an affected region exceeded
-/// [`DynOpts::sub_cap`] / [`DynOpts::sub_arc_cap`] (or had no anchor).
+/// [`ApplyReport::fallback`] reason: an affected region exceeded 4096
+/// vertices or 65536 scanned arcs (or had no anchor).
 pub const FB_REGION: &str = "region_cap";
 /// [`ApplyReport::fallback`] reason: the post-deletion re-hang BFS did not
 /// reach every vertex (a certificate raced a same-batch disconnection).
 pub const FB_REHANG: &str = "rehang_incomplete";
 /// [`ApplyReport::fallback`] reason: the batch's aggregate incremental
-/// work (certificates, region re-solves, component re-roots) exhausted the
+/// work (certificates, region re-solves, region re-roots) exhausted the
 /// per-batch work budget — a round this expensive cannot beat the full
 /// solve it is racing, so it stops paying twice and takes it directly.
 pub const FB_BUDGET: &str = "work_budget";
@@ -251,21 +234,21 @@ impl DynState {
         self.state_queue.clear();
         self.state_queue.reserve(2 * n);
         self.members.clear();
-        self.members.reserve(self.opts.sub_cap.min(n) + 1);
+        self.members.reserve(SUB_CAP.min(n) + 1);
         self.local_id.clear();
         self.local_id.resize(n, 0);
         self.chain_a.clear();
-        self.chain_a.reserve(self.opts.chain_cap + 1);
+        self.chain_a.reserve(CHAIN_CAP + 1);
         self.chain_b.clear();
-        self.chain_b.reserve(self.opts.chain_cap + 1);
+        self.chain_b.reserve(CHAIN_CAP + 1);
         self.sub_pairs.clear();
-        self.sub_pairs.reserve(self.opts.sub_arc_cap);
+        self.sub_pairs.reserve(SUB_ARC_CAP);
         self.sub_offsets.clear();
-        self.sub_offsets.reserve(self.opts.sub_cap.min(n) + 2);
+        self.sub_offsets.reserve(SUB_CAP.min(n) + 2);
         self.sub_cursor.clear();
-        self.sub_cursor.reserve(self.opts.sub_cap.min(n) + 2);
+        self.sub_cursor.reserve(SUB_CAP.min(n) + 2);
         self.sub_arcs.clear();
-        self.sub_arcs.reserve(self.opts.sub_arc_cap);
+        self.sub_arcs.reserve(SUB_ARC_CAP);
         self.report = None;
     }
 
@@ -346,7 +329,7 @@ impl DynState {
     /// The exact (BFS) part of the certificate; charged against the
     /// per-batch aggregate visit budget by the wrapper above.
     fn cert_bfs(&mut self, g: &Graph, u: V, v: V) -> Option<bool> {
-        let cap = self.opts.cert_cap.min(self.work_budget);
+        let cap = CERT_CAP.min(self.work_budget);
         self.state_queue.clear();
         if cap == 0 {
             return None;
@@ -500,11 +483,11 @@ impl BccEngine {
             None => g.clone(),
         });
         if self.dynamic.sub.is_none() && n > 0 {
-            let warm_n = self.dynamic.opts.sub_cap.min(n).max(8);
-            let warm_arcs = self.dynamic.opts.sub_arc_cap.min(g.m()).max(2 * warm_n);
+            let warm_n = SUB_CAP.min(n).max(8);
+            let warm_arcs = SUB_ARC_CAP.min(g.m()).max(2 * warm_n);
             let mut sub = Box::new(BccEngine::with_capacity(
-                self.dynamic.opts.sub_cap.min(n) + 1,
-                self.dynamic.opts.sub_arc_cap,
+                SUB_CAP.min(n) + 1,
+                SUB_ARC_CAP,
                 opts,
             ));
             // Two throwaway solves settle the lazily sized tables at full
@@ -530,11 +513,6 @@ impl BccEngine {
     /// What the most recent [`apply_batch`](Self::apply_batch) did.
     pub fn last_apply_report(&self) -> Option<ApplyReport> {
         self.dynamic.report
-    }
-
-    /// The batch-dynamic tuning knobs (mutable; takes effect next batch).
-    pub fn dyn_opts_mut(&mut self) -> &mut DynOpts {
-        &mut self.dynamic.opts
     }
 
     /// Apply an undirected edge batch to the attached graph and bring the
@@ -602,19 +580,20 @@ impl BccEngine {
             apply_delta(&old, &dy.delta, &mut dy.delta_scratch)
         };
 
-        let budget = ((old.m_undirected() as f64) * self.dynamic.opts.max_churn_frac).max(1.0);
+        let churn_frac = self.dynamic.churn_frac.unwrap_or(MAX_CHURN_FRAC);
+        let budget = ((old.m_undirected() as f64) * churn_frac).max(1.0);
         if (report.adds + report.dels) as f64 > budget {
             return self.fallback(old, new, report, FB_CHURN, heap_before);
         }
 
         // Aggregate work budget for the whole batch — certificates,
-        // region re-solves, and component re-roots all draw on it. Scaled
+        // region re-solves, and region re-roots all draw on it. Scaled
         // to one structural pass over the graph: generous enough that
         // cheap local repairs never notice it, but a round this machinery
         // cannot actually win stops paying twice (incremental attempt
         // plus the fallback solve) long before matching the full solve's
         // cost.
-        self.dynamic.work_budget = (old.n() + old.m()).max(self.dynamic.opts.cert_cap);
+        self.dynamic.work_budget = (old.n() + old.m()).max(CERT_CAP);
 
         // ---- Deletions --------------------------------------------------
         let mut need_rehang = false;
@@ -730,19 +709,11 @@ impl BccEngine {
                 Ok(()) => report.adds_merged += 1,
                 Err(reason) => {
                     // A confirmed cross-tree insertion can still be absorbed
-                    // two ways. The cheap one re-roots a tree whose root
-                    // path is all bridges (pure `head`/`parent` flips) — it
-                    // needs `labels`/`label_count` to be exact, which only
-                    // holds while the batch has performed no merges or
-                    // region re-solves and no re-hang is pending. The
-                    // general one re-solves one endpoint's whole component
-                    // locally and hangs it under the other, gated only by
-                    // the sub-solve caps.
+                    // by re-solving one endpoint's whole component locally
+                    // and hanging it under the other, gated only by the
+                    // region caps.
                     if reason == FB_CROSS {
-                        let mut rescued = report.adds_merged == 0
-                            && report.dels_sub_solve == 0
-                            && !need_rehang
-                            && self.try_reroot_link(u, v);
+                        let mut rescued = false;
                         // Escalating caps: probe both sides small first so
                         // the common shape — a tiny satellite component
                         // joining a giant one — never pays for flooding
@@ -751,8 +722,7 @@ impl BccEngine {
                         // invalid is dead at every cap level (the member
                         // set would not change), so only cap-bounded
                         // failures are retried.
-                        let (vmax, amax) =
-                            (self.dynamic.opts.sub_cap, self.dynamic.opts.sub_arc_cap);
+                        let (vmax, amax) = (SUB_CAP, SUB_ARC_CAP);
                         let (mut vcap, mut acap) = (vmax.min(512), amax.min(8192));
                         let (mut dead_u, mut dead_v) = (false, false);
                         while !(rescued || dead_u && dead_v) {
@@ -892,14 +862,12 @@ impl BccEngine {
     /// The root vertex of `x`'s tree, found by climbing the block head
     /// chain (class → head vertex → its class → …; each step jumps a
     /// whole block, so the walk length is the tree's *block* depth, not
-    /// its vertex depth). `None` when the walk exceeds
-    /// [`DynOpts::chain_cap`]. Relies on the rep-id invariant: the
-    /// terminal class (`head == NONE`) is a root's singleton class, whose
-    /// class id *is* the root vertex.
+    /// its vertex depth). `None` when the walk exceeds [`CHAIN_CAP`].
+    /// Relies on the rep-id invariant: the terminal class (`head == NONE`)
+    /// is a root's singleton class, whose class id *is* the root vertex.
     fn root_of(&mut self, x: V) -> Option<V> {
-        let cap = self.dynamic.opts.chain_cap;
         let mut l = self.dynamic.find(self.result.labels[x as usize]);
-        for _ in 0..=cap {
+        for _ in 0..=CHAIN_CAP {
             let h = self.result.head[l as usize];
             if h == NONE {
                 return Some(l);
@@ -909,94 +877,9 @@ impl BccEngine {
         None
     }
 
-    /// Absorb a confirmed cross-tree insertion `(u, v)` by re-rooting the
-    /// endpoint tree whose root path consists solely of bridge blocks,
-    /// then hanging that endpoint under the other. A flipped bridge keeps
-    /// its class id, member, and count — the child vertex of the reversed
-    /// edge already *is* its singleton class — so the whole re-root is
-    /// pure `parent`/`head` updates with zero label surgery. The two root
-    /// paths are climbed in lockstep and the shallower all-bridge side
-    /// wins, bounding the work by twice the smaller endpoint depth.
-    /// Returns false (caller falls back) when neither path qualifies.
-    ///
-    /// Callers must guarantee `labels`/`label_count` are exact (no merges
-    /// or region re-solves this batch, no re-hang pending) and that
-    /// `merge_path` has already proven the endpoints lie in different
-    /// trees.
-    fn try_reroot_link(&mut self, u: V, v: V) -> bool {
-        let mut cur = [u, v];
-        let mut alive = [true, true];
-        let dy = &mut self.dynamic;
-        dy.chain_a.clear();
-        dy.chain_b.clear();
-        let mut steps = 0usize;
-        let winner = 'climb: loop {
-            steps += 1;
-            if steps > dy.opts.chain_cap {
-                // Deep flips stay within the reserved chain buffers; the
-                // component-sized region rescue covers long paths.
-                return false;
-            }
-            let mut progressed = false;
-            for side in 0..2 {
-                if !alive[side] {
-                    continue;
-                }
-                let c = cur[side];
-                let p = self.result.tags.parent[c as usize];
-                if p == NONE {
-                    // Reached this side's root with every climbed edge a
-                    // bridge: re-root this tree.
-                    break 'climb side;
-                }
-                let l = dy.find(self.result.labels[c as usize]);
-                if l != c
-                    || self.result.head[c as usize] != p
-                    || self.result.label_count[c as usize] != 1
-                {
-                    // The parent edge sits inside a non-trivial block;
-                    // re-rooting through it would need label surgery.
-                    alive[side] = false;
-                    continue;
-                }
-                progressed = true;
-                if side == 0 {
-                    dy.chain_a.push((c, p));
-                } else {
-                    dy.chain_b.push((c, p));
-                }
-                cur[side] = p;
-            }
-            if !progressed {
-                return false;
-            }
-        };
-
-        let (root_end, anchor) = if winner == 0 { (u, v) } else { (v, u) };
-        let pairs = if winner == 0 {
-            &dy.chain_a
-        } else {
-            &dy.chain_b
-        };
-        let res = &mut self.result;
-        // Reverse each path edge: its former parent becomes the bridge
-        // child, which is its own (still-singleton) class.
-        for &(c, p) in pairs.iter() {
-            debug_assert_eq!(res.labels[p as usize], p, "flip target keeps its class");
-            res.tags.parent[p as usize] = c;
-            res.head[p as usize] = c;
-        }
-        res.tags.parent[root_end as usize] = anchor;
-        res.head[root_end as usize] = anchor;
-        true
-    }
-
     /// Absorb a cross-tree insertion by re-solving `root_end`'s *entire*
     /// component locally, rooted at `root_end`, then hanging it under
-    /// `anchor` as a fresh bridge — the general rescue for insertions that
-    /// [`Self::try_reroot_link`] cannot flip (root paths through
-    /// non-trivial blocks), bounded by the component size instead of any
-    /// label-exactness precondition.
+    /// `anchor` as a fresh bridge, bounded by the component size.
     ///
     /// The component is collected by BFS over the *new* adjacency with the
     /// `anchor` vertex held out, so the region is closed under every
@@ -1029,7 +912,6 @@ impl BccEngine {
         arc_cap: usize,
     ) -> RegionReroot {
         let dy = &mut self.dynamic;
-        let res = &mut self.result;
         dy.era = dy.era.wrapping_add(1);
         let era = dy.era;
 
@@ -1086,79 +968,15 @@ impl BccEngine {
             return RegionReroot::Invalid;
         }
 
-        // Induced local CSR over the new graph; `anchor` is unmarked, so
-        // its arcs — including the one being absorbed — are filtered out.
-        let k = dy.members.len();
-        dy.work_budget = dy.work_budget.saturating_sub(k + arcs_scanned);
-        dy.sub_pairs.clear();
-        for (j, &gv) in dy.members.iter().enumerate() {
-            for &w in new.neighbors(gv) {
-                if dy.mark[w as usize] == era {
-                    dy.sub_pairs.push((j as u32, dy.local_id[w as usize]));
-                }
-            }
-        }
-        dy.sub_offsets.clear();
-        dy.sub_offsets.resize(k + 1, 0);
-        for &(s, _) in &dy.sub_pairs {
-            dy.sub_offsets[s as usize + 1] += 1;
-        }
-        for j in 0..k {
-            dy.sub_offsets[j + 1] += dy.sub_offsets[j];
-        }
-        let mut arcs = std::mem::take(&mut dy.sub_arcs);
-        arcs.clear();
-        arcs.resize(dy.sub_pairs.len(), 0);
-        dy.sub_cursor.clear();
-        dy.sub_cursor.extend_from_slice(&dy.sub_offsets[..k]);
-        for &(s, t) in &dy.sub_pairs {
-            arcs[dy.sub_cursor[s as usize]] = t;
-            dy.sub_cursor[s as usize] += 1;
-        }
-        let offsets = std::mem::take(&mut dy.sub_offsets);
-        for j in 0..k {
-            arcs[offsets[j]..offsets[j + 1]].sort_unstable();
-        }
-        let lg = Graph::from_raw_parts(offsets, arcs);
-
-        let mut sub = dy.sub.take().expect("sub engine sized at attach");
-        sub.solve_with_root(&lg, 0);
-
-        // Splice every member — unlike the block-anchored sub-solve there
-        // is no preserved boundary vertex; the whole component's state is
-        // replaced and its root re-pointed at the anchor.
-        let sr = &sub.result;
-        for j in 0..k {
-            let gj = dy.members[j] as usize;
-            res.labels[gj] = dy.members[sr.labels[j] as usize];
-            let lp = sr.tags.parent[j];
-            res.tags.parent[gj] = if lp == NONE {
-                NONE
-            } else {
-                dy.members[lp as usize]
-            };
-            dy.dsu[gj] = gj as u32;
-        }
-        for j in 0..k {
-            if sr.labels[j] == j as u32 {
-                let w = dy.members[j] as usize;
-                let lh = sr.head[j];
-                res.head[w] = if lh == NONE {
-                    NONE
-                } else {
-                    dy.members[lh as usize]
-                };
-                res.label_count[w] = sr.label_count[j];
-            }
-        }
-        // The local root's singleton class becomes the new bridge class.
+        // `anchor` is unmarked, so its arcs — including the one being
+        // absorbed — stay out of the local CSR. Every member is spliced:
+        // unlike the block-anchored sub-solve there is no preserved
+        // boundary vertex. The local root's singleton class then becomes
+        // the new bridge class.
+        self.solve_region(new, era, arcs_scanned, 0);
+        let res = &mut self.result;
         res.tags.parent[root_end as usize] = anchor;
         res.head[root_end as usize] = anchor;
-
-        let (o, a) = lg.into_raw_parts();
-        dy.sub_offsets = o;
-        dy.sub_arcs = a;
-        dy.sub = Some(sub);
         RegionReroot::Done
     }
 
@@ -1187,7 +1005,7 @@ impl BccEngine {
                 side ^= 1;
             }
             steps += 1;
-            if steps > dy.opts.chain_cap {
+            if steps > CHAIN_CAP {
                 return Err(FB_CHAIN);
             }
             let (l, entry, _) = cur[side];
@@ -1277,7 +1095,6 @@ impl BccEngine {
         }
         let dy = &mut self.dynamic;
         let res = &mut self.result;
-        let (sub_cap, arc_cap) = (dy.opts.sub_cap, dy.opts.sub_arc_cap);
         dy.era = dy.era.wrapping_add(1);
         let era = dy.era;
 
@@ -1295,13 +1112,13 @@ impl BccEngine {
             let x = dy.members[qi];
             qi += 1;
             arcs_scanned += old.degree(x) + new.degree(x);
-            if arcs_scanned > arc_cap {
+            if arcs_scanned > SUB_ARC_CAP {
                 return false;
             }
             for list in [old.neighbors(x), new.neighbors(x)] {
                 for &w in list {
                     if dy.mark[w as usize] != era && res.labels[w as usize] == region {
-                        if dy.members.len() >= sub_cap {
+                        if dy.members.len() >= SUB_CAP {
                             return false;
                         }
                         dy.mark[w as usize] = era;
@@ -1312,9 +1129,26 @@ impl BccEngine {
             }
         }
 
-        // Induced local CSR over the *new* graph (two blocks share at most
-        // one vertex, so every new-graph edge between members is a block
-        // edge). Built by counting sort into pooled buffers.
+        // The old class dies; the anchor (local root, local id 0) keeps
+        // its global label, parent, and class — exactly why the sub-solve
+        // is anchored there. Two blocks share at most one vertex, so every
+        // new-graph edge between members is a block edge.
+        res.label_count[region as usize] = 0;
+        res.head[region as usize] = NONE;
+        self.solve_region(new, era, arcs_scanned, 1);
+        true
+    }
+
+    /// Solve the subgraph of `new` induced by the collected `members`
+    /// (marked with `era`, `members[0]` as the local root) on the pooled
+    /// sub-engine, and splice `members[first..]` into the global result:
+    /// local classes map through `members`, and the spliced vertices' DSU
+    /// entries reset to identity. Charges the region's vertices plus
+    /// `arcs_scanned` against the batch work budget. The induced CSR is
+    /// built by counting sort into pooled buffers.
+    fn solve_region(&mut self, new: &Graph, era: u32, arcs_scanned: usize, first: usize) {
+        let dy = &mut self.dynamic;
+        let res = &mut self.result;
         let k = dy.members.len();
         dy.work_budget = dy.work_budget.saturating_sub(k + arcs_scanned);
         dy.sub_pairs.clear();
@@ -1351,40 +1185,32 @@ impl BccEngine {
         let mut sub = dy.sub.take().expect("sub engine sized at attach");
         sub.solve_with_root(&lg, 0);
 
-        // Splice: the old class dies, local classes map through `members`.
-        // The anchor (local root, local id 0) keeps its global label,
-        // parent, and class — exactly why the sub-solve is anchored there.
-        res.label_count[region as usize] = 0;
-        res.head[region as usize] = NONE;
         let sr = &sub.result;
-        for j in 1..k {
-            let gj = dy.members[j] as usize;
-            res.labels[gj] = dy.members[sr.labels[j] as usize];
-            let lp = sr.tags.parent[j];
-            res.tags.parent[gj] = if lp == NONE {
+        let global = |l: V| {
+            if l == NONE {
                 NONE
             } else {
-                dy.members[lp as usize]
-            };
-        }
-        for j in 1..k {
-            if sr.labels[j] == j as u32 {
-                let w = dy.members[j] as usize;
-                let lh = sr.head[j];
-                res.head[w] = if lh == NONE {
-                    NONE
-                } else {
-                    dy.members[lh as usize]
-                };
-                res.label_count[w] = sr.label_count[j];
+                dy.members[l as usize]
             }
+        };
+        for j in first..k {
+            let gj = dy.members[j] as usize;
+            res.labels[gj] = dy.members[sr.labels[j] as usize];
+            res.tags.parent[gj] = global(sr.tags.parent[j]);
+            if sr.labels[j] == j as u32 {
+                res.head[gj] = global(sr.head[j]);
+                res.label_count[gj] = sr.label_count[j];
+            }
+        }
+        for j in first..k {
+            let gj = dy.members[j];
+            dy.dsu[gj as usize] = gj;
         }
 
         let (o, a) = lg.into_raw_parts();
         dy.sub_offsets = o;
         dy.sub_arcs = a;
         dy.sub = Some(sub);
-        true
     }
 }
 
@@ -1395,6 +1221,7 @@ mod tests {
     use crate::postprocess::{articulation_points, bridges, canonical_bccs};
     use fastbcc_graph::generators::classic::*;
     use fastbcc_graph::generators::{grid2d, rmat};
+    use proptest::prelude::*;
 
     /// The incremental result must be indistinguishable from a fresh solve
     /// of the same (evolved) graph across every label-based consumer.
@@ -1497,8 +1324,9 @@ mod tests {
     #[test]
     fn cross_tree_add_at_path_interiors_reroots() {
         // Two disjoint 30-vertex paths; join them through interior
-        // vertices. Neither endpoint is a root, but both root paths are
-        // all bridges, so the shallower tree re-roots onto the new edge.
+        // vertices. Neither endpoint is a root, so the forest link cannot
+        // apply; the region re-root re-solves one path and hangs it under
+        // the other endpoint.
         let mut e = BccEngine::new(BccOpts::default());
         e.attach(&disjoint_union(&[&path(30), &path(30)]));
         assert_eq!(e.result.num_cc, 2);
@@ -1525,8 +1353,8 @@ mod tests {
     #[test]
     fn cross_component_add_at_non_roots_region_reroots() {
         // Two disjoint 5-cycles; join them through non-root vertices. The
-        // root paths run through cycle blocks, so the bridge-flip re-root
-        // cannot apply — the component-sized region re-root absorbs it.
+        // root paths run through cycle blocks; the component-sized region
+        // re-root absorbs the insertion all the same.
         let mut e = BccEngine::new(BccOpts::default());
         e.attach(&disjoint_union(&[&cycle(5), &cycle(5)]));
         assert_eq!(e.result.num_cc, 2);
@@ -1549,10 +1377,10 @@ mod tests {
 
     #[test]
     fn cross_component_add_beyond_caps_falls_back() {
-        // Both components exceed `sub_cap`, so neither side's region fits
+        // Both components exceed `SUB_CAP`, so neither side's region fits
         // and the cross-tree insertion has to take the full re-solve.
         let mut e = BccEngine::new(BccOpts::default());
-        let k = e.dyn_opts_mut().sub_cap + 8;
+        let k = SUB_CAP + 8;
         e.attach(&disjoint_union(&[&cycle(k), &cycle(k)]));
         let parent = &e.result.tags.parent;
         let a = (0..k as V).find(|&x| parent[x as usize] != NONE).unwrap();
@@ -1649,6 +1477,72 @@ mod tests {
                 }
                 e.apply_batch(&adds, &dels);
                 assert_matches_fresh(&e, &format!("graph {gi} round {round}"));
+            }
+        }
+    }
+
+    /// A batch script: per batch, raw insertion pairs plus *indices* into
+    /// the live edge list at application time — so deletions always strike
+    /// present edges (bridges and tree edges included) instead of being
+    /// normalized away.
+    type Script = Vec<(Vec<(V, V)>, Vec<usize>)>;
+
+    fn arb_scripted_graph(
+        nmax: usize,
+        mmax: usize,
+    ) -> impl Strategy<Value = (usize, Vec<(V, V)>, Script)> {
+        (5..nmax).prop_flat_map(move |n| {
+            (
+                Just(n),
+                proptest::collection::vec((0..n as V, 0..n as V), 0..mmax),
+                proptest::collection::vec(
+                    (
+                        proptest::collection::vec((0..n as V, 0..n as V), 0..6),
+                        proptest::collection::vec(0usize..usize::MAX, 0..6),
+                    ),
+                    1..6,
+                ),
+            )
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+
+        /// Arbitrary add/del scripts with the churn gate off, so every
+        /// incremental machinery path gets exercised and must agree with
+        /// a fresh solve after each batch (checked against a mirrored
+        /// edge set, too).
+        #[test]
+        fn incremental_batches_match_fresh_solves(
+            (n, init, script) in arb_scripted_graph(40, 90)
+        ) {
+            let g0 = fastbcc_graph::builder::from_edges(n, &init);
+            let mut live: Vec<(V, V)> = g0.iter_edges().collect();
+            let mut e = BccEngine::new(BccOpts::default());
+            e.dynamic.churn_frac = Some(1.0);
+            e.attach(&g0);
+            for (bi, (adds, del_picks)) in script.iter().enumerate() {
+                let mut dels: Vec<(V, V)> = del_picks
+                    .iter()
+                    .filter(|_| !live.is_empty())
+                    .map(|&i| live[i % live.len()])
+                    .collect();
+                dels.sort_unstable();
+                dels.dedup();
+                e.apply_batch(adds, &dels);
+                live.retain(|x| !dels.contains(x));
+                for &(a, b) in adds {
+                    let x = (a.min(b), a.max(b));
+                    if x.0 != x.1 && !live.contains(&x) {
+                        live.push(x);
+                    }
+                }
+                live.sort_unstable();
+                let report = e.last_apply_report().expect("batch ran");
+                let got: Vec<(V, V)> = e.graph().unwrap().iter_edges().collect();
+                assert_eq!(got, live, "edge mirror diverged at batch {bi}");
+                assert_matches_fresh(&e, &format!("batch {bi} ({report:?})"));
             }
         }
     }

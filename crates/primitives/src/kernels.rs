@@ -1,20 +1,19 @@
 //! Chunked, autovectorization-friendly inner loops for the flat hot
-//! primitives (scan, pack, counting-sort scatter, bitmap sweep).
+//! primitives (scan, pack, bitmap sweep).
 //!
 //! Stable rustc has no `std::simd`, so these kernels get their speed from
 //! shapes LLVM vectorizes (or at least pipelines) well on its own:
 //! fixed-size chunks ([`LANES`]-wide inner loops with no early exits),
 //! branchless predicated compaction (`pos += (x != s) as usize` instead of
 //! an `if`), multi-accumulator reductions, and `u64` bit tricks
-//! (`count_ones` / `trailing_zeros`) for bitmap extraction. Every kernel
-//! is compiled unconditionally — the `simd` cargo feature only switches
-//! the *dispatch* inside `scan` / `pack` / `sort` — so the scalar-vs-SIMD
-//! equivalence tests and the `primitives` microbench can compare both
-//! paths in any build.
+//! (`count_ones` / `trailing_zeros`) for bitmap extraction. The entry
+//! points `scan::prefix_sums`, `scan::scan_inclusive_u64`,
+//! `pack::pack_neq_into` and `pack::pack_bits_into` always run them.
 //!
-//! All kernels are exact integer code: outputs are byte-identical to
-//! their scalar counterparts, which is what lets the `simd` feature ride
-//! under the determinism proptests unchanged.
+//! All kernels are exact integer code: outputs are byte-identical to the
+//! generic `scan_exclusive_inplace` / `scan_inclusive_inplace` /
+//! `pack_map_into` reference paths, which the equivalence tests and the
+//! `primitives` microbench compare against.
 
 /// Chunk width of the fixed-size inner loops. Eight 64-bit lanes is one
 /// AVX-512 register or two AVX2 registers; it also bounds the

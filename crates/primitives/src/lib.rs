@@ -19,7 +19,6 @@
 //! | [`reduce`] | reductions | `O(n)` | `O(log n)` |
 //! | [`pack`] | filter / pack | `O(n)` | `O(log n)` |
 //! | [`sort`] | counting & radix sort | `O(n + K)` | `O(log n)` |
-//! | [`mergesort`] | comparison sort | `O(n log n)` | `O(log³ n)` |
 //! | [`semisort`] | group-equal-keys | `O(n)` expected | `O(log n)` |
 //! | [`rmq`] | sparse table build | `O(n log n)` | `O(log n)` |
 //! | [`hashbag`] | concurrent bag insert | `O(1)` amortized | — |
@@ -34,7 +33,6 @@ pub mod atomics;
 pub mod edgemap;
 pub mod hashbag;
 pub mod kernels;
-pub mod mergesort;
 pub mod pack;
 pub mod par;
 pub mod reduce;

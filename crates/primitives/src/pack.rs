@@ -132,38 +132,19 @@ where
 /// Pack the elements of `src` that differ from `sentinel` into `out`
 /// (cleared first), preserving order — the frontier-compaction shape of
 /// `edgemap`'s sparse rounds, where `sentinel` is the `EMPTY` slot marker.
-///
-/// With the `simd` feature this dispatches to [`pack_neq_into_vectorized`];
-/// outputs are byte-identical either way.
-pub fn pack_neq_into(src: &[u32], sentinel: u32, out: &mut Vec<u32>) {
-    #[cfg(feature = "simd")]
-    {
-        pack_neq_into_vectorized(src, sentinel, out)
-    }
-    #[cfg(not(feature = "simd"))]
-    {
-        pack_neq_into_scalar(src, sentinel, out)
-    }
-}
-
-/// The scalar [`pack_neq_into`] path (always compiled): the generic
-/// count–scan–scatter pack with a branchy per-element predicate.
-pub fn pack_neq_into_scalar(src: &[u32], sentinel: u32, out: &mut Vec<u32>) {
-    pack_map_into(src.len(), |i| src[i] != sentinel, |i| src[i], out);
-}
-
-/// Kernelized [`pack_neq_into`] (always compiled): branchless chunked
-/// compaction via [`crate::kernels::compact_neq_u32`].
+/// Branchless chunked compaction via [`crate::kernels::compact_neq_u32`];
+/// the output equals the generic [`pack_map_into`] with a `!= sentinel`
+/// predicate.
 ///
 /// Sequential runs count with one branchless predicate-sum sweep, then
 /// compact in one pass — no offsets buffer, no scan machinery, and the
-/// output is sized to exactly the survivor count (byte-identical capacity
-/// behavior to the scalar path, which the workspace envelope tests pin).
+/// output is sized to exactly the survivor count (the capacity behavior
+/// the workspace envelope tests pin).
 /// Parallel runs count per block, scan the offsets, then compact each
 /// block into its disjoint output range through the kernels' on-stack
 /// chunk buffer (which absorbs the predicated stores' one-slot overhang,
 /// so no block touches its neighbor's slots).
-pub fn pack_neq_into_vectorized(src: &[u32], sentinel: u32, out: &mut Vec<u32>) {
+pub fn pack_neq_into(src: &[u32], sentinel: u32, out: &mut Vec<u32>) {
     use crate::kernels::{compact_neq_u32, count_neq_u32};
     let n = src.len();
     out.clear();
@@ -207,29 +188,11 @@ pub fn pack_neq_into_vectorized(src: &[u32], sentinel: u32, out: &mut Vec<u32>) 
 /// into `out` (cleared first), ascending — the claimed-vertex sweep of
 /// `edgemap`'s dense rounds. Bits at or past `n` must be zero.
 ///
-/// Dispatches like [`pack_neq_into`]; outputs are byte-identical.
+/// Per-block `popcnt` counts, an offsets scan, then `trailing_zeros`
+/// extraction — 64 bits per load instead of one, skipping zero words in a
+/// single test. The output equals the generic [`pack_map_into`] with a
+/// test-the-bit predicate.
 pub fn pack_bits_into(words: &[u64], n: usize, out: &mut Vec<u32>) {
-    #[cfg(feature = "simd")]
-    {
-        pack_bits_into_vectorized(words, n, out)
-    }
-    #[cfg(not(feature = "simd"))]
-    {
-        pack_bits_into_scalar(words, n, out)
-    }
-}
-
-/// The scalar [`pack_bits_into`] path (always compiled): a per-index
-/// test-the-bit pack, exactly the loop `edgemap` used to inline.
-pub fn pack_bits_into_scalar(words: &[u64], n: usize, out: &mut Vec<u32>) {
-    debug_assert!(words.len() * 64 >= n);
-    pack_map_into(n, |v| words[v / 64] >> (v % 64) & 1 == 1, |v| v as u32, out);
-}
-
-/// Kernelized [`pack_bits_into`] (always compiled): per-block `popcnt`
-/// counts, an offsets scan, then `trailing_zeros` extraction — 64 bits
-/// per load instead of one, skipping zero words in a single test.
-pub fn pack_bits_into_vectorized(words: &[u64], n: usize, out: &mut Vec<u32>) {
     use crate::kernels::{expand_bits_u32, popcount_words};
     debug_assert!(words.len() * 64 >= n);
     out.clear();
@@ -366,11 +329,11 @@ mod tests {
         assert_eq!(got, want);
     }
 
-    /// Scalar and kernelized pack paths must be byte-identical (values
-    /// *and* resulting buffer length) on adversarial lengths at every
-    /// thread budget.
+    /// The kernelized packs must be byte-identical (values *and*
+    /// resulting buffer length) to the generic [`pack_map_into`] on
+    /// adversarial lengths at every thread budget.
     #[test]
-    fn vectorized_packs_match_scalar_packs() {
+    fn kernel_packs_match_generic_pack() {
         use crate::kernels::LANES;
         let mut r = crate::rng::Rng::new(42);
         const S: u32 = u32::MAX;
@@ -394,11 +357,12 @@ mod tests {
             for threads in [1usize, 2, 8] {
                 crate::par::with_threads(threads, || {
                     let (mut a, mut b) = (Vec::new(), Vec::new());
-                    pack_neq_into_scalar(&src, S, &mut a);
-                    pack_neq_into_vectorized(&src, S, &mut b);
+                    pack_map_into(n, |i| src[i] != S, |i| src[i], &mut a);
+                    pack_neq_into(&src, S, &mut b);
                     assert_eq!(a, b, "pack_neq n={n} threads={threads}");
-                    pack_bits_into_scalar(&bits, n, &mut a);
-                    pack_bits_into_vectorized(&bits, n, &mut b);
+                    let bit = |v: usize| bits[v / 64] >> (v % 64) & 1 == 1;
+                    pack_map_into(n, bit, |v| v as u32, &mut a);
+                    pack_bits_into(&bits, n, &mut b);
                     assert_eq!(a, b, "pack_bits n={n} threads={threads}");
                 });
             }

@@ -112,35 +112,13 @@ where
 /// Exclusive prefix sums of `usize` counts — the workhorse for offsets.
 /// Returns the total.
 ///
-/// With the `simd` feature this dispatches to
-/// [`prefix_sums_vectorized`]; outputs are byte-identical either way.
-pub fn prefix_sums(a: &mut [usize]) -> usize {
-    #[cfg(feature = "simd")]
-    {
-        prefix_sums_vectorized(a)
-    }
-    #[cfg(not(feature = "simd"))]
-    {
-        prefix_sums_scalar(a)
-    }
-}
-
-/// The scalar [`prefix_sums`] path (always compiled, for scalar-vs-SIMD
-/// equivalence tests and the `primitives` microbench).
-pub fn prefix_sums_scalar(a: &mut [usize]) -> usize {
-    scan_exclusive_inplace(a, 0usize, |x, y| x + y)
-}
-
-/// Kernelized [`prefix_sums`] (always compiled; the `simd` feature only
-/// changes which path `prefix_sums` takes).
-///
 /// Sequential runs (one worker, or one block) take a **single pass**: the
 /// [`crate::kernels::exclusive_scan_usize`] kernel forms each chunk's
 /// prefixes in registers, halving memory traffic versus the blocked
-/// two-pass scheme and skipping its block-sum allocations. Parallel runs
-/// keep the two-pass shape but use the multi-accumulator sum and chunked
-/// scan kernels inside each block.
-pub fn prefix_sums_vectorized(a: &mut [usize]) -> usize {
+/// two-pass scheme of [`scan_exclusive_inplace`] and skipping its
+/// block-sum allocations. Parallel runs keep the two-pass shape but use
+/// the multi-accumulator sum and chunked scan kernels inside each block.
+pub fn prefix_sums(a: &mut [usize]) -> usize {
     let n = a.len();
     if n == 0 {
         return 0;
@@ -167,26 +145,9 @@ pub fn prefix_sums_vectorized(a: &mut [usize]) -> usize {
 }
 
 /// Inclusive prefix sums of `u64` values — the weight-accumulation scan.
-/// Returns the total. Dispatches like [`prefix_sums`].
+/// Returns the total. Single-pass chunked scan when sequential,
+/// kernelized blocks when parallel, like [`prefix_sums`].
 pub fn scan_inclusive_u64(a: &mut [u64]) -> u64 {
-    #[cfg(feature = "simd")]
-    {
-        scan_inclusive_u64_vectorized(a)
-    }
-    #[cfg(not(feature = "simd"))]
-    {
-        scan_inclusive_u64_scalar(a)
-    }
-}
-
-/// The scalar [`scan_inclusive_u64`] path (always compiled).
-pub fn scan_inclusive_u64_scalar(a: &mut [u64]) -> u64 {
-    scan_inclusive_inplace(a, 0u64, |x, y| x + y)
-}
-
-/// Kernelized [`scan_inclusive_u64`] (always compiled): single-pass
-/// chunked scan when sequential, kernelized blocks when parallel.
-pub fn scan_inclusive_u64_vectorized(a: &mut [u64]) -> u64 {
     let n = a.len();
     if n == 0 {
         return 0;
@@ -302,11 +263,11 @@ mod tests {
         assert_eq!(parts[3], &[7, 8, 9]);
     }
 
-    /// Scalar and kernelized paths must be byte-identical on adversarial
-    /// lengths (0, 1, lane−1, lane, lane+1, large) at every thread budget,
-    /// so the `simd` feature can ride under the determinism proptests.
+    /// The kernelized entry points must be byte-identical to the generic
+    /// blocked scans on adversarial lengths (0, 1, lane−1, lane, lane+1,
+    /// large) at every thread budget.
     #[test]
-    fn vectorized_paths_match_scalar_paths() {
+    fn kernel_scans_match_generic_scans() {
         use crate::kernels::LANES;
         let mut r = crate::rng::Rng::new(9);
         for n in [0, 1, LANES - 1, LANES, LANES + 1, 65_537] {
@@ -316,15 +277,15 @@ mod tests {
                 crate::par::with_threads(threads, || {
                     let (mut s, mut v) = (a.clone(), a.clone());
                     assert_eq!(
-                        prefix_sums_scalar(&mut s),
-                        prefix_sums_vectorized(&mut v),
+                        scan_exclusive_inplace(&mut s, 0usize, |x, y| x + y),
+                        prefix_sums(&mut v),
                         "prefix total n={n} threads={threads}"
                     );
                     assert_eq!(s, v, "prefix n={n} threads={threads}");
                     let (mut s, mut v) = (b.clone(), b.clone());
                     assert_eq!(
-                        scan_inclusive_u64_scalar(&mut s),
-                        scan_inclusive_u64_vectorized(&mut v),
+                        scan_inclusive_inplace(&mut s, 0u64, |x, y| x + y),
+                        scan_inclusive_u64(&mut v),
                         "inclusive total n={n} threads={threads}"
                     );
                     assert_eq!(s, v, "inclusive n={n} threads={threads}");

@@ -53,14 +53,6 @@ pub fn counting_sort_by_into<T, F>(
         return;
     }
 
-    // Sequential runs take the kernelized single-histogram path: same
-    // bytes out (stable sorts have a unique output), ~half the histogram
-    // traffic. Feature-gated dispatch only; the kernel is always built.
-    #[cfg(feature = "simd")]
-    if crate::par::num_threads() <= 1 {
-        return counting_sort_seq_vectorized(items, k, key, out, offsets_out);
-    }
-
     // Bound histogram memory: shrink block count for huge bucket counts.
     let mut blocks = num_blocks(n, DEFAULT_GRAIN);
     if blocks * k > MAX_HIST_CELLS {
@@ -133,62 +125,6 @@ pub fn counting_sort_by_into<T, F>(
                 }
             });
         });
-    }
-}
-
-/// Kernelized sequential counting sort (always compiled; dispatched from
-/// [`counting_sort_by_into`] under the `simd` feature when the budget is
-/// one worker). One `O(k)` histogram instead of the blocked `O(k·B)`
-/// block-major histograms — no transpose, no per-worker cursor arenas,
-/// no shared-slice indirection — then an unchecked scatter (kernel-scanned
-/// cursors tile the output exactly). Stable, and byte-identical to the
-/// parallel path: a stable bucket sort's output is unique.
-pub fn counting_sort_seq_vectorized<T, F>(
-    items: &[T],
-    num_buckets: usize,
-    key: F,
-    out: &mut Vec<T>,
-    offsets_out: &mut Vec<usize>,
-) where
-    T: Copy + Send + Sync,
-    F: Fn(&T) -> usize + Sync,
-{
-    let n = items.len();
-    let k = num_buckets.max(1);
-    offsets_out.clear();
-    if n == 0 {
-        out.clear();
-        offsets_out.resize(k + 1, 0);
-        return;
-    }
-    let mut cursors = vec![0usize; k];
-    for item in items {
-        let j = key(item);
-        debug_assert!(j < k, "key {j} out of bucket range {k}");
-        // SAFETY: `key` contracts to return values < num_buckets (checked
-        // above in debug builds), matching the blocked path's unchecked
-        // histogram writes.
-        unsafe { *cursors.get_unchecked_mut(j) += 1 };
-    }
-    crate::kernels::exclusive_scan_usize(&mut cursors, 0);
-    offsets_out.reserve(k + 1);
-    offsets_out.extend_from_slice(&cursors);
-    offsets_out.push(n);
-
-    // SAFETY: the cursors tile 0..n; every slot is written exactly once.
-    unsafe { reuse_uninit(out, n) };
-    let out_ptr = out.as_mut_ptr();
-    for item in items {
-        // SAFETY: keys are < k per the contract above, and the scanned
-        // cursors tile 0..n, so each write is in-bounds and each slot is
-        // written exactly once — the same disjointness argument as the
-        // blocked path's `UnsafeSlice` scatter, minus the per-write bounds
-        // checks that dominate this loop.
-        unsafe {
-            let c = cursors.get_unchecked_mut(key(item));
-            *out_ptr.add(*c) = *item;
-            *c += 1;
-        }
     }
 }
 
@@ -342,37 +278,6 @@ mod tests {
         let (s, o) = counting_sort_by(&items, 1, |_| 0);
         assert_eq!(s, items); // stable: order preserved
         assert_eq!(o, vec![0, 1000]);
-    }
-
-    /// The sequential kernelized counting sort must be byte-identical —
-    /// sorted items *and* offsets — to the blocked parallel path on
-    /// adversarial lengths at every thread budget.
-    #[test]
-    fn vectorized_counting_sort_matches_blocked_path() {
-        use crate::kernels::LANES;
-        let mut r = Rng::new(23);
-        for n in [0, 1, LANES - 1, LANES, LANES + 1, 31, 32, 33, 40_000] {
-            let k = 1 + r.index(64);
-            let items: Vec<(u32, u32)> = (0..n).map(|i| (r.index(k) as u32, i as u32)).collect();
-            let mut want_s = Vec::new();
-            let mut want_o = Vec::new();
-            counting_sort_by_into(&items, k, |&(x, _)| x as usize, &mut want_s, &mut want_o);
-            for threads in [1usize, 2, 8] {
-                crate::par::with_threads(threads, || {
-                    let mut got_s = Vec::new();
-                    let mut got_o = Vec::new();
-                    counting_sort_seq_vectorized(
-                        &items,
-                        k,
-                        |&(x, _)| x as usize,
-                        &mut got_s,
-                        &mut got_o,
-                    );
-                    assert_eq!(got_s, want_s, "items n={n} k={k} threads={threads}");
-                    assert_eq!(got_o, want_o, "offsets n={n} k={k} threads={threads}");
-                });
-            }
-        }
     }
 
     #[test]

@@ -352,7 +352,8 @@ impl Rebuilder {
     /// Falls back to a warm full solve inside `apply_batch` when the batch
     /// is not incrementally tractable (see the returned report's
     /// [`fallback`](RebuildReport::fallback) and the service's
-    /// `fallback_*` counters); either way the published snapshot is exact.
+    /// per-reason fallback counters); either way the published snapshot is
+    /// exact.
     pub fn rebuild_delta(&mut self, adds: &[(V, V)], dels: &[(V, V)]) -> RebuildReport {
         // Relaxed flag: advisory marker, as in `rebuild`.
         self.stats.rebuild_in_flight.store(true, Ordering::Relaxed);
@@ -733,7 +734,7 @@ mod tests {
 
         let stats = handle.stats_report();
         assert_eq!(stats.rebuilds_full, 1);
-        assert_eq!(stats.fallback_churn, 1);
+        assert_eq!(stats.fallbacks, [1, 0, 0, 0, 0, 0]);
         let json = stats.to_json();
         assert!(json.contains("\"rebuilds_incremental\":0"));
         assert!(json.contains("\"fallback_churn\":1"));

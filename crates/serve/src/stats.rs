@@ -3,6 +3,8 @@
 //! serializes in the workspace's `RunRecord` JSON-lines style (no deps,
 //! fixed keys) so the `serve` bench and operators read one format.
 
+use fastbcc_core::FALLBACK_REASONS;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Shared atomic counters of one [`crate::service`] instance. All updates
@@ -29,22 +31,11 @@ pub struct ServeStats {
     /// Rebuilds that took the incremental `apply_batch` path end to end.
     pub(crate) rebuilds_incremental: AtomicU64,
     /// Rebuilds that ran a full solve: explicit `rebuild` calls plus every
-    /// delta rebuild that fell back (see the `fallback_*` counters).
+    /// delta rebuild that fell back (see `fallbacks`).
     pub(crate) rebuilds_full: AtomicU64,
-    /// Delta rebuilds that fell back because the batch exceeded the churn
-    /// threshold (`fastbcc_core::dynamic::FB_CHURN`).
-    pub(crate) fallback_churn: AtomicU64,
-    /// Delta rebuilds that fell back on a component-joining insertion.
-    pub(crate) fallback_cross_component: AtomicU64,
-    /// Delta rebuilds that fell back on a block-cut chain-walk cap.
-    pub(crate) fallback_chain_cap: AtomicU64,
-    /// Delta rebuilds that fell back on an affected-region size cap.
-    pub(crate) fallback_region_cap: AtomicU64,
-    /// Delta rebuilds that fell back on an incomplete re-hang BFS.
-    pub(crate) fallback_rehang: AtomicU64,
-    /// Delta rebuilds that fell back after exhausting the per-batch
-    /// incremental work budget (`fastbcc_core::dynamic::FB_BUDGET`).
-    pub(crate) fallback_work_budget: AtomicU64,
+    /// Delta rebuilds that fell back to a full solve, one counter per
+    /// reason, indexed by position in [`FALLBACK_REASONS`].
+    pub(crate) fallbacks: [AtomicU64; FALLBACK_REASONS.len()],
     /// Edge deltas accepted by `ServiceHandle::submit_delta`.
     pub(crate) deltas_submitted: AtomicU64,
     /// Edge deltas drained and applied by `Rebuilder::rebuild_pending`.
@@ -83,22 +74,15 @@ impl ServeStats {
 
     /// Bump the per-reason fallback counter for one delta rebuild that
     /// fell back to a full solve (`reason` is an
-    /// [`fastbcc_core::ApplyReport::fallback`] string).
+    /// [`fastbcc_core::ApplyReport::fallback`] string, so always one of
+    /// [`FALLBACK_REASONS`]).
     pub(crate) fn note_fallback(&self, reason: &str) {
-        use fastbcc_core::dynamic::{
-            FB_BUDGET, FB_CHAIN, FB_CHURN, FB_CROSS, FB_REGION, FB_REHANG,
-        };
+        let i = FALLBACK_REASONS
+            .iter()
+            .position(|&r| r == reason)
+            .unwrap_or_else(|| panic!("fallback reason {reason:?} not in FALLBACK_REASONS"));
         // Relaxed counters: observability only.
-        let counter = match reason {
-            FB_CHURN => &self.fallback_churn,
-            FB_CROSS => &self.fallback_cross_component,
-            FB_CHAIN => &self.fallback_chain_cap,
-            FB_REGION => &self.fallback_region_cap,
-            FB_REHANG => &self.fallback_rehang,
-            FB_BUDGET => &self.fallback_work_budget,
-            _ => return,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
+        self.fallbacks[i].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Snapshot every counter.
@@ -112,12 +96,7 @@ impl ServeStats {
             rebuilds: self.rebuilds.load(Ordering::Relaxed),
             rebuilds_incremental: self.rebuilds_incremental.load(Ordering::Relaxed),
             rebuilds_full: self.rebuilds_full.load(Ordering::Relaxed),
-            fallback_churn: self.fallback_churn.load(Ordering::Relaxed),
-            fallback_cross_component: self.fallback_cross_component.load(Ordering::Relaxed),
-            fallback_chain_cap: self.fallback_chain_cap.load(Ordering::Relaxed),
-            fallback_region_cap: self.fallback_region_cap.load(Ordering::Relaxed),
-            fallback_rehang: self.fallback_rehang.load(Ordering::Relaxed),
-            fallback_work_budget: self.fallback_work_budget.load(Ordering::Relaxed),
+            fallbacks: self.fallbacks.each_ref().map(|c| c.load(Ordering::Relaxed)),
             deltas_submitted: self.deltas_submitted.load(Ordering::Relaxed),
             deltas_applied: self.deltas_applied.load(Ordering::Relaxed),
             rebuild_secs_last: self.rebuild_ns_last.load(Ordering::Relaxed) as f64 * 1e-9,
@@ -141,12 +120,9 @@ pub struct StatsReport {
     pub rebuilds: u64,
     pub rebuilds_incremental: u64,
     pub rebuilds_full: u64,
-    pub fallback_churn: u64,
-    pub fallback_cross_component: u64,
-    pub fallback_chain_cap: u64,
-    pub fallback_region_cap: u64,
-    pub fallback_rehang: u64,
-    pub fallback_work_budget: u64,
+    /// Fallbacks per reason, indexed by position in [`FALLBACK_REASONS`];
+    /// serialized as one `fallback_<reason>` key each.
+    pub fallbacks: [u64; FALLBACK_REASONS.len()],
     pub deltas_submitted: u64,
     pub deltas_applied: u64,
     pub rebuild_secs_last: f64,
@@ -169,15 +145,16 @@ impl StatsReport {
     /// Serialize as a single JSON object, `RunRecord`-style: fixed keys,
     /// no external dependencies.
     pub fn to_json(&self) -> String {
+        let mut fallbacks = String::new();
+        for (reason, count) in FALLBACK_REASONS.iter().zip(self.fallbacks) {
+            write!(fallbacks, "\"fallback_{reason}\":{count},").expect("writing to a String");
+        }
         format!(
             "{{\"published_version\":{},\"snapshots_published\":{},\
              \"snapshots_retired\":{},\"snapshots_dropped\":{},\
              \"retire_backlog\":{},\"rebuilds\":{},\
              \"rebuilds_incremental\":{},\"rebuilds_full\":{},\
-             \"fallback_churn\":{},\"fallback_cross_component\":{},\
-             \"fallback_chain_cap\":{},\"fallback_region_cap\":{},\
-             \"fallback_rehang\":{},\"fallback_work_budget\":{},\
-             \"deltas_submitted\":{},\"deltas_applied\":{},\
+             {fallbacks}\"deltas_submitted\":{},\"deltas_applied\":{},\
              \"rebuild_secs_last\":{:.9},\"rebuild_secs_total\":{:.9},\
              \"queries_served\":{},\"batches_served\":{},\
              \"batch_size_max\":{}}}",
@@ -189,12 +166,6 @@ impl StatsReport {
             self.rebuilds,
             self.rebuilds_incremental,
             self.rebuilds_full,
-            self.fallback_churn,
-            self.fallback_cross_component,
-            self.fallback_chain_cap,
-            self.fallback_region_cap,
-            self.fallback_rehang,
-            self.fallback_work_budget,
             self.deltas_submitted,
             self.deltas_applied,
             self.rebuild_secs_last,
@@ -223,6 +194,26 @@ mod tests {
         assert!(j.contains("\"published_version\":3"));
         assert!(j.contains("\"queries_served\":1000"));
         assert!(j.contains("\"rebuild_secs_total\":0.000000000"));
+    }
+
+    /// One fallback of each reason — reason `i` noted `i + 1` times so no
+    /// two counters agree — lands on its own `fallback_<reason>` key.
+    #[test]
+    fn each_fallback_reason_lands_on_its_own_key() {
+        let stats = ServeStats::default();
+        for (i, reason) in FALLBACK_REASONS.iter().enumerate() {
+            for _ in 0..=i {
+                stats.note_fallback(reason);
+            }
+        }
+        let rep = stats.report();
+        assert_eq!(rep.fallbacks, [1, 2, 3, 4, 5, 6]);
+        let j = rep.to_json();
+        for (i, reason) in FALLBACK_REASONS.iter().enumerate() {
+            let key = format!("\"fallback_{reason}\":{}", i + 1);
+            assert_eq!(j.matches(&key).count(), 1, "{key} in {j}");
+        }
+        assert_eq!(j.matches("\"fallback_").count(), FALLBACK_REASONS.len());
     }
 
     #[test]
