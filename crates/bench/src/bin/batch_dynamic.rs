@@ -25,65 +25,12 @@
 //! what an operator gets, not what the best case gets.
 
 use fastbcc_bench::churn::perturbed_sequence;
-use fastbcc_bench::measure::{fmt_secs, geomean, json_escape, Args};
+use fastbcc_bench::measure::{fmt_secs, geomean, write_json_lines, Args, Record};
 use fastbcc_bench::runner::RunOpts;
 use fastbcc_bench::suite::filter_suite;
 use fastbcc_core::{canonical_bccs, BccEngine, BccOpts};
 use fastbcc_primitives::with_threads;
-use std::io::Write;
 use std::time::{Duration, Instant};
-
-struct DynRecord {
-    graph: String,
-    n: usize,
-    m: usize,
-    threads: usize,
-    frac: f64,
-    rounds: usize,
-    batch_edges_mean: f64,
-    inc_secs_mean: f64,
-    full_secs_mean: f64,
-    speedup: f64,
-    inc_update_eps: f64,
-    full_update_eps: f64,
-    rounds_incremental: usize,
-    rounds_fallback: usize,
-    last_fallback: Option<&'static str>,
-    warm_fresh_alloc_bytes_max: usize,
-    equal: bool,
-}
-
-impl DynRecord {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"graph\":{},\"n\":{},\"m\":{},\"threads\":{},\
-             \"frac\":{},\"rounds\":{},\"batch_edges_mean\":{:.3},\
-             \"inc_secs_mean\":{:.9},\"full_secs_mean\":{:.9},\
-             \"speedup\":{:.3},\
-             \"inc_update_eps\":{:.3},\"full_update_eps\":{:.3},\
-             \"rounds_incremental\":{},\"rounds_fallback\":{},\
-             \"last_fallback\":{},\
-             \"warm_fresh_alloc_bytes_max\":{},\"equal\":{}}}",
-            json_escape(&self.graph),
-            self.n,
-            self.m,
-            self.threads,
-            self.frac,
-            self.rounds,
-            self.batch_edges_mean,
-            self.inc_secs_mean,
-            self.full_secs_mean,
-            self.speedup,
-            self.inc_update_eps,
-            self.full_update_eps,
-            self.rounds_incremental,
-            self.rounds_fallback,
-            self.last_fallback.map_or("null".to_string(), json_escape),
-            self.warm_fresh_alloc_bytes_max,
-            self.equal,
-        )
-    }
-}
 
 fn main() {
     let args = Args::parse();
@@ -120,7 +67,10 @@ fn main() {
         "fresh"
     );
 
-    let mut records: Vec<DynRecord> = Vec::new();
+    let mut records = Vec::new();
+    // (frac, speedup, incremental update edges/s) per row, for the
+    // per-churn geomeans.
+    let mut rates: Vec<(f64, f64, f64)> = Vec::new();
     for spec in filter_suite(opts.names.as_deref()) {
         eprintln!("[build] {} (scale {})", spec.name, opts.scale);
         let g0 = spec.build(opts.scale);
@@ -178,63 +128,53 @@ fn main() {
                     }
                 }
 
-                let rounds_done = schedule.len().max(1);
+                let rounds_done = schedule.len().max(1) as f64;
                 let inc_secs = inc_total.as_secs_f64();
                 let full_secs = full_total.as_secs_f64();
-                DynRecord {
-                    graph: spec.name.to_string(),
-                    n: g0.n(),
-                    m: g0.m_undirected(),
-                    threads: p,
+                let speedup = full_secs / inc_secs.max(1e-12);
+                let inc_eps = batch_edges as f64 / inc_secs.max(1e-12);
+                println!(
+                    "{:<6} {:>9} {:>10} {:>7} | {:>10} {:>10} {:>7.1}x | {:>12.0} | {:>5} {:>5} {:>5}",
+                    spec.name,
+                    g0.n(),
+                    g0.m_undirected(),
                     frac,
-                    rounds: schedule.len(),
-                    batch_edges_mean: batch_edges as f64 / rounds_done as f64,
-                    inc_secs_mean: inc_secs / rounds_done as f64,
-                    full_secs_mean: full_secs / rounds_done as f64,
-                    speedup: full_secs / inc_secs.max(1e-12),
-                    inc_update_eps: batch_edges as f64 / inc_secs.max(1e-12),
-                    full_update_eps: batch_edges as f64 / full_secs.max(1e-12),
+                    fmt_secs(inc_total.div_f64(rounds_done)),
+                    fmt_secs(full_total.div_f64(rounds_done)),
+                    speedup,
+                    inc_eps,
                     rounds_incremental,
                     rounds_fallback,
-                    last_fallback,
-                    warm_fresh_alloc_bytes_max: warm_fresh_max,
-                    equal,
-                }
+                    warm_fresh_max,
+                );
+                assert!(equal, "{} frac {frac}: incremental != fresh", spec.name);
+                rates.push((frac, speedup, inc_eps));
+                Record::new(spec.name, "fast_bcc/apply_batch", g0.n(), p)
+                    .int("m", g0.m_undirected())
+                    .num("frac", frac)
+                    .int("rounds", schedule.len())
+                    .num("batch_edges_mean", batch_edges as f64 / rounds_done)
+                    .num("inc_secs_mean", inc_secs / rounds_done)
+                    .num("full_secs_mean", full_secs / rounds_done)
+                    .num("speedup", speedup)
+                    .num("inc_update_eps", inc_eps)
+                    .num("full_update_eps", batch_edges as f64 / full_secs.max(1e-12))
+                    .int("rounds_incremental", rounds_incremental)
+                    .int("rounds_fallback", rounds_fallback)
+                    .str("last_fallback", last_fallback)
+                    .int("warm_fresh_alloc_bytes_max", warm_fresh_max)
+                    .flag("equal", equal)
             });
-            println!(
-                "{:<6} {:>9} {:>10} {:>7} | {:>10} {:>10} {:>7.1}x | {:>12.0} | {:>5} {:>5} {:>5}",
-                rec.graph,
-                rec.n,
-                rec.m,
-                rec.frac,
-                fmt_secs(Duration::from_secs_f64(rec.inc_secs_mean)),
-                fmt_secs(Duration::from_secs_f64(rec.full_secs_mean)),
-                rec.speedup,
-                rec.inc_update_eps,
-                rec.rounds_incremental,
-                rec.rounds_fallback,
-                rec.warm_fresh_alloc_bytes_max,
-            );
-            assert!(
-                rec.equal,
-                "{} frac {}: incremental != fresh",
-                rec.graph, rec.frac
-            );
             records.push(rec);
         }
     }
 
     for &frac in &fracs {
-        let speedups: Vec<f64> = records
+        let (speedups, eps): (Vec<f64>, Vec<f64>) = rates
             .iter()
-            .filter(|r| r.frac == frac)
-            .map(|r| r.speedup)
-            .collect();
-        let eps: Vec<f64> = records
-            .iter()
-            .filter(|r| r.frac == frac)
-            .map(|r| r.inc_update_eps)
-            .collect();
+            .filter(|r| r.0 == frac)
+            .map(|r| (r.1, r.2))
+            .unzip();
         println!(
             "--- frac {frac}: geomean speedup {:.2}x, geomean {:.0} update edges/s over {} graphs ---",
             geomean(&speedups),
@@ -243,14 +183,5 @@ fn main() {
         );
     }
 
-    if let Some(path) = args.get("--json") {
-        let mut f = std::io::BufWriter::new(
-            std::fs::File::create(path).unwrap_or_else(|e| panic!("creating {path}: {e}")),
-        );
-        for r in &records {
-            writeln!(f, "{}", r.to_json()).expect("write record");
-        }
-        f.flush().expect("flush json");
-        eprintln!("wrote {} records to {path}", records.len());
-    }
+    write_json_lines(args.get("--json"), &records);
 }

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! cargo run --release -p fastbcc-bench --bin fig5_breakdown -- \
-//!     [--scale 0.1] [--reps 3] [--graphs ...] [--json PATH]
+//!     [--scale 0.1] [--reps 3] [--threads 0] [--graphs ...] [--json PATH]
 //! ```
 //!
 //! `--json` additionally writes one JSON object per (graph, algo) with the
@@ -15,7 +15,8 @@
 //! sweeps) bars dwarf FAST-BCC's ETT/RMQ equivalents.
 
 use fastbcc_baselines::bfs_bcc;
-use fastbcc_bench::measure::{time_median, Args};
+use fastbcc_bench::measure::{time_median, write_json_lines, Args, Record};
+use fastbcc_bench::runner::RunOpts;
 use fastbcc_bench::suite::filter_suite;
 use fastbcc_core::{fast_bcc, BccOpts, Breakdown};
 use fastbcc_primitives::with_threads;
@@ -32,68 +33,33 @@ fn row(label: &str, b: &Breakdown) {
     );
 }
 
-/// Phase seconds plus per-phase `baseline / ours` speedups as one JSON
-/// line. `speedup_*` is emitted only on the baseline row (`vs` = the
-/// breakdown it is compared against).
-fn json_row(
-    graph: &str,
-    algo: &str,
-    threads: usize,
-    b: &Breakdown,
-    vs: Option<&Breakdown>,
-) -> String {
-    let phases = format!(
-        "\"first_cc_secs\":{:.9},\"rooting_secs\":{:.9},\"tagging_secs\":{:.9},\
-         \"last_cc_secs\":{:.9},\"total_secs\":{:.9}",
-        b.first_cc.as_secs_f64(),
-        b.rooting.as_secs_f64(),
-        b.tagging.as_secs_f64(),
-        b.last_cc.as_secs_f64(),
-        b.total().as_secs_f64(),
-    );
-    let speedups = vs
-        .map(|ours| {
-            let ratio = |theirs: f64, ours: f64| theirs / ours.max(1e-9);
-            format!(
-                ",\"speedup_first_cc\":{:.4},\"speedup_rooting\":{:.4},\
-                 \"speedup_tagging\":{:.4},\"speedup_last_cc\":{:.4},\
-                 \"speedup_total\":{:.4}",
-                ratio(b.first_cc.as_secs_f64(), ours.first_cc.as_secs_f64()),
-                ratio(b.rooting.as_secs_f64(), ours.rooting.as_secs_f64()),
-                ratio(b.tagging.as_secs_f64(), ours.tagging.as_secs_f64()),
-                ratio(b.last_cc.as_secs_f64(), ours.last_cc.as_secs_f64()),
-                ratio(b.total().as_secs_f64(), ours.total().as_secs_f64()),
-            )
-        })
-        .unwrap_or_default();
-    format!(
-        "{{\"graph\":\"{graph}\",\"algo\":\"{algo}\",\"threads\":{threads},{phases}{speedups}}}"
-    )
+/// The four phases plus the total: (seconds column, speedup column,
+/// seconds).
+fn phases(b: &Breakdown) -> [(&'static str, &'static str, f64); 5] {
+    [
+        (
+            "first_cc_secs",
+            "speedup_first_cc",
+            b.first_cc.as_secs_f64(),
+        ),
+        ("rooting_secs", "speedup_rooting", b.rooting.as_secs_f64()),
+        ("tagging_secs", "speedup_tagging", b.tagging.as_secs_f64()),
+        ("last_cc_secs", "speedup_last_cc", b.last_cc.as_secs_f64()),
+        ("total_secs", "speedup_total", b.total().as_secs_f64()),
+    ]
 }
 
 fn main() {
     let args = Args::parse();
-    let scale = args.get_f64("--scale", 0.1);
-    let reps = args.get_usize("--reps", 3);
-    let p = args.get_usize("--threads", 0);
-    let p = if p == 0 {
-        std::thread::available_parallelism()
-            .map(|x| x.get())
-            .unwrap_or(1)
-    } else {
-        p
-    };
+    let opts = RunOpts::from_args(&args);
+    let (reps, p) = (opts.reps, opts.effective_threads());
 
     println!("fig5: phase breakdown in seconds ({p} threads)");
-    let mut json_lines = Vec::new();
-    for spec in filter_suite(args.get("--graphs")) {
-        let g = spec.build(scale);
-        println!(
-            "=== {} (n={}, m={}) ===",
-            spec.name,
-            g.n(),
-            g.m_undirected()
-        );
+    let mut records = Vec::new();
+    for spec in filter_suite(opts.names.as_deref()) {
+        let g = spec.build(opts.scale);
+        let (n, m) = (g.n(), g.m_undirected());
+        println!("=== {} (n={n}, m={m}) ===", spec.name);
         println!(
             "  {:<8} {:>9} {:>9} {:>9} {:>9} {:>9}",
             "", "First-CC", "Rooting", "Tagging", "Last-CC", "total"
@@ -102,18 +68,21 @@ fn main() {
         row("Ours", &ours.breakdown);
         let (gbbs, _) = with_threads(p, || time_median(reps, || bfs_bcc(&g, 7)));
         row("GBBS*", &gbbs.breakdown);
-        json_lines.push(json_row(spec.name, "fast_bcc", p, &ours.breakdown, None));
-        json_lines.push(json_row(
-            spec.name,
-            "bfs_bcc",
-            p,
-            &gbbs.breakdown,
-            Some(&ours.breakdown),
-        ));
+
+        let (ours_t, gbbs_t) = (phases(&ours.breakdown), phases(&gbbs.breakdown));
+        let mut ours_rec = Record::new(spec.name, "fast_bcc", n, p).int("m", m);
+        let mut gbbs_rec = Record::new(spec.name, "bfs_bcc", n, p).int("m", m);
+        for (&(secs, _, ours), &(_, _, gbbs)) in ours_t.iter().zip(&gbbs_t) {
+            ours_rec = ours_rec.num(secs, ours);
+            gbbs_rec = gbbs_rec.num(secs, gbbs);
+        }
+        // The baseline row also carries the per-phase `baseline / ours`
+        // speedups.
+        for (&(_, speedup, ours), &(_, _, gbbs)) in ours_t.iter().zip(&gbbs_t) {
+            gbbs_rec = gbbs_rec.num(speedup, gbbs / ours.max(1e-9));
+        }
+        records.push(ours_rec);
+        records.push(gbbs_rec);
     }
-    if let Some(path) = args.get("--json") {
-        std::fs::write(path, json_lines.join("\n") + "\n")
-            .unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        eprintln!("[json ] wrote {path}");
-    }
+    write_json_lines(args.get("--json"), &records);
 }

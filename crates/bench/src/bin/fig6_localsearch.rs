@@ -4,13 +4,14 @@
 //!
 //! ```text
 //! cargo run --release -p fastbcc-bench --bin fig6_localsearch -- \
-//!     [--scale 0.1] [--reps 3] [--graphs ...]
+//!     [--scale 0.1] [--reps 3] [--threads 0] [--graphs ...]
 //! ```
 //!
 //! Expected shape (paper §C): parity on low-diameter graphs, 1.1–4.5×
 //! gains concentrated in the two CC phases on large-diameter graphs.
 
 use fastbcc_bench::measure::{geomean, time_median, Args};
+use fastbcc_bench::runner::RunOpts;
 use fastbcc_bench::suite::filter_suite;
 use fastbcc_core::{fast_bcc, BccOpts, Breakdown};
 use fastbcc_primitives::with_threads;
@@ -29,20 +30,12 @@ fn row(label: &str, b: &Breakdown) {
 
 fn main() {
     let args = Args::parse();
-    let scale = args.get_f64("--scale", 0.1);
-    let reps = args.get_usize("--reps", 3);
-    let p = args.get_usize("--threads", 0);
-    let p = if p == 0 {
-        std::thread::available_parallelism()
-            .map(|x| x.get())
-            .unwrap_or(1)
-    } else {
-        p
-    };
+    let opts = RunOpts::from_args(&args);
+    let (scale, reps, p) = (opts.scale, opts.reps, opts.effective_threads());
 
     println!("fig6: local-search/hash-bag ablation ({p} threads)");
     let mut ratios = Vec::new();
-    for spec in filter_suite(args.get("--graphs")) {
+    for spec in filter_suite(opts.names.as_deref()) {
         let g = spec.build(scale);
         println!(
             "=== {} (n={}, m={}) ===",

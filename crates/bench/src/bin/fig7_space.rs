@@ -24,7 +24,7 @@
 //! fewer tags").
 
 use fastbcc_baselines::{bfs_bcc, tarjan_vishkin};
-use fastbcc_bench::measure::{write_json_lines, Args, RunRecord};
+use fastbcc_bench::measure::{write_json_lines, Args, Record};
 use fastbcc_bench::suite::filter_suite;
 use fastbcc_core::{BccEngine, BccOpts};
 use fastbcc_graph::{CompressedGraph, GraphView};
@@ -32,7 +32,7 @@ use fastbcc_graph::{CompressedGraph, GraphView};
 fn main() {
     let args = Args::parse();
     let scale = args.get_f64("--scale", 0.1);
-    let mut records: Vec<RunRecord> = Vec::new();
+    let mut records: Vec<Record> = Vec::new();
 
     println!(
         "{:<8} {:>10} {:>6} | {:>12} {:>12} {:>12} | {:>7} {:>7} {:>7} | {:>9} {:>9} | {:>7} {:>7}",
@@ -99,87 +99,63 @@ fn main() {
         );
         let scratch = engine.workspace().heap_bytes();
         let cscratch = cengine.workspace().heap_bytes();
+        let (n, m) = (g.n(), g.m_undirected());
+        let threads = fastbcc_primitives::num_threads();
         let rec = |algo: &str,
                    backend: &str,
-                   gbytes: usize,
-                   gcap: usize,
-                   peak: usize,
-                   fresh: usize,
-                   arena: usize,
-                   scratch: usize| RunRecord {
-            graph: spec.name.to_string(),
-            algo: algo.to_string(),
-            n: g.n(),
-            m: g.m_undirected(),
-            threads: fastbcc_primitives::num_threads(),
-            pool_workers: fastbcc_primitives::pool_spawns(),
-            median_secs: 0.0,
-            aux_peak_bytes: peak,
-            fresh_alloc_bytes: fresh,
-            arena_bytes: arena,
-            scratch_bytes: scratch,
-            scratch_budget_bytes: if scratch > 0 {
-                fastbcc_core::space::workspace_budget_bytes(g.n(), g.m_undirected())
+                   (gbytes, gcap): (usize, usize),
+                   (peak, fresh, arena): (usize, usize, usize),
+                   scratch: usize| {
+            let budget = if scratch > 0 {
+                fastbcc_core::space::workspace_budget_bytes(n, m)
             } else {
                 0
-            },
-            steal_count: fastbcc_primitives::steal_count() as u64,
-            deque_max_depth: fastbcc_primitives::deque_max_depth(),
-            backend: backend.to_string(),
-            graph_bytes: gbytes,
-            graph_capacity_bytes: gcap,
+            };
+            Record::new(spec.name, algo, n, threads)
+                .int("m", m)
+                .num("median_secs", 0.0)
+                .int("aux_peak_bytes", peak)
+                .int("fresh_alloc_bytes", fresh)
+                .int("arena_bytes", arena)
+                .int("scratch_bytes", scratch)
+                .int("scratch_budget_bytes", budget)
+                .pool_counters()
+                .str("backend", backend)
+                .int("graph_bytes", gbytes)
+                .int("graph_capacity_bytes", gcap)
         };
-        let (fb, fc) = (GraphView::bytes(&g), GraphView::capacity_bytes(&g));
-        let (cb, cc) = (cg.bytes(), cg.capacity_bytes());
+        let flat = (GraphView::bytes(&g), GraphView::capacity_bytes(&g));
+        let comp = (cg.bytes(), cg.capacity_bytes());
         // `scratch_bytes` is a warm-record column (matching table2's
         // convention): it reports what a pooled repeated-query engine
         // holds reserved, which only stabilizes after the cold solve.
-        records.push(rec(
-            "fast_bcc/cold",
-            "flat",
-            fb,
-            fc,
-            ours,
-            cold_fresh,
-            arena,
-            0,
-        ));
-        records.push(rec(
-            "fast_bcc/warm",
-            "flat",
-            fb,
-            fc,
-            ours,
-            warm_fresh,
-            arena,
-            scratch,
-        ));
-        records.push(rec(
-            "fast_bcc/cold",
-            "compressed",
-            cb,
-            cc,
-            cours,
-            ccold_fresh,
-            carena,
-            0,
-        ));
-        records.push(rec(
-            "fast_bcc/warm",
-            "compressed",
-            cb,
-            cc,
-            cours,
-            cwarm_fresh,
-            carena,
-            cscratch,
-        ));
-        records.push(rec("bfs_bcc", "flat", fb, fc, gbbs, gbbs, 0, 0));
-        records.push(rec("tarjan_vishkin", "flat", fb, fc, tv, tv, 0, 0));
+        records.extend([
+            rec("fast_bcc/cold", "flat", flat, (ours, cold_fresh, arena), 0),
+            rec(
+                "fast_bcc/warm",
+                "flat",
+                flat,
+                (ours, warm_fresh, arena),
+                scratch,
+            ),
+            rec(
+                "fast_bcc/cold",
+                "compressed",
+                comp,
+                (cours, ccold_fresh, carena),
+                0,
+            ),
+            rec(
+                "fast_bcc/warm",
+                "compressed",
+                comp,
+                (cours, cwarm_fresh, carena),
+                cscratch,
+            ),
+            rec("bfs_bcc", "flat", flat, (gbbs, gbbs, 0), 0),
+            rec("tarjan_vishkin", "flat", flat, (tv, tv, 0), 0),
+        ]);
     }
 
-    if let Some(path) = args.get("--json") {
-        write_json_lines(path, &records).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        eprintln!("wrote {} records to {path}", records.len());
-    }
+    write_json_lines(args.get("--json"), &records);
 }

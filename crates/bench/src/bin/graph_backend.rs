@@ -25,7 +25,7 @@
 //!   `fresh_alloc_bytes == 0` (asserted here, not just recorded).
 //! * **Agreement**: all four backends produce identical BCC counts.
 
-use fastbcc_bench::measure::{time_median, write_json_lines, Args, RunRecord};
+use fastbcc_bench::measure::{time_median, write_json_lines, Args, Record};
 use fastbcc_core::{BccEngine, BccOpts};
 use fastbcc_graph::generators::rmat;
 use fastbcc_graph::{
@@ -149,47 +149,29 @@ fn main() {
         }
     }
 
-    let records: Vec<RunRecord> = rows
+    let threads = fastbcc_primitives::num_threads();
+    let records: Vec<Record> = rows
         .iter()
         .flat_map(|r| {
-            let base = RunRecord {
-                graph: format!("rmat{scale}"),
-                algo: String::new(),
-                n,
-                m,
-                threads: fastbcc_primitives::num_threads(),
-                pool_workers: fastbcc_primitives::pool_spawns(),
-                median_secs: 0.0,
-                aux_peak_bytes: r.aux_peak,
-                fresh_alloc_bytes: 0,
-                arena_bytes: 0,
-                scratch_bytes: 0,
-                scratch_budget_bytes: 0,
-                steal_count: fastbcc_primitives::steal_count() as u64,
-                deque_max_depth: fastbcc_primitives::deque_max_depth(),
-                backend: r.backend.to_string(),
-                graph_bytes: r.graph_bytes,
-                graph_capacity_bytes: r.graph_capacity_bytes,
+            let rec = |algo: &str, secs: f64, fresh: usize| {
+                Record::new(&format!("rmat{scale}"), algo, n, threads)
+                    .int("m", m)
+                    .num("median_secs", secs)
+                    .int("aux_peak_bytes", r.aux_peak)
+                    .int("fresh_alloc_bytes", fresh)
+                    .int("arena_bytes", 0)
+                    .int("scratch_bytes", 0)
+                    .int("scratch_budget_bytes", 0)
+                    .pool_counters()
+                    .str("backend", r.backend)
+                    .int("graph_bytes", r.graph_bytes)
+                    .int("graph_capacity_bytes", r.graph_capacity_bytes)
             };
             [
-                RunRecord {
-                    algo: "fast_bcc/cold".into(),
-                    median_secs: r.cold_secs,
-                    fresh_alloc_bytes: r.cold_fresh,
-                    ..base.clone()
-                },
-                RunRecord {
-                    algo: "fast_bcc/warm".into(),
-                    median_secs: r.warm_secs,
-                    fresh_alloc_bytes: r.warm_fresh,
-                    ..base
-                },
+                rec("fast_bcc/cold", r.cold_secs, r.cold_fresh),
+                rec("fast_bcc/warm", r.warm_secs, r.warm_fresh),
             ]
         })
         .collect();
-
-    if let Some(path) = args.get("--json") {
-        write_json_lines(path, &records).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        eprintln!("wrote {} records to {path}", records.len());
-    }
+    write_json_lines(args.get("--json"), &records);
 }

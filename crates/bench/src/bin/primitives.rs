@@ -2,57 +2,18 @@
 //! point (`prefix_sums`, `scan_inclusive_u64`, `pack_neq_into`,
 //! `pack_bits_into`) against the generic blocked scan / pack it
 //! specializes, measured on the same inputs with preallocated outputs so
-//! warm repetitions allocate nothing. `scalar_secs` times the generic
-//! reference and `simd_secs` the kernel path. Emits a single JSON
-//! document (default `BENCH_primitives.json`) that the bench-smoke CI job
-//! gates on: every row must carry the full column set and report
+//! warm repetitions allocate nothing. `reference_secs` times the generic
+//! reference and `kernel_secs` the kernel path. Writes one JSON line per
+//! primitive (`algo`; `graph` names the input distribution; default path
+//! `BENCH_primitives.json`) that the bench-smoke CI job gates on: every
+//! row must carry the full column set and report
 //! `warm_fresh_alloc_bytes == 0`.
 //!
 //! Usage: `primitives [--n 4194304] [--reps 5] [--threads 0] [--json PATH]`
 //! (`--threads 0` = the runtime default, honoring `FASTBCC_THREADS`).
 
-use fastbcc_bench::measure::{time_median, Args};
+use fastbcc_bench::measure::{time_median, write_json_lines, Args, Record};
 use fastbcc_primitives::{pack, scan, with_threads};
-use std::io::Write as _;
-
-/// One reference-vs-kernel comparison row.
-struct Row {
-    primitive: &'static str,
-    n: usize,
-    threads: usize,
-    scalar_secs: f64,
-    simd_secs: f64,
-    /// Output-buffer capacity growth across the timed warm repetitions —
-    /// must be 0: both paths are required to run allocation-free once the
-    /// cold repetition has sized the buffers.
-    warm_fresh_alloc_bytes: usize,
-    steal_count: u64,
-    deque_max_depth: usize,
-}
-
-impl Row {
-    fn speedup(&self) -> f64 {
-        self.scalar_secs / self.simd_secs.max(1e-12)
-    }
-
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"primitive\":\"{}\",\"n\":{},\"threads\":{},\
-             \"scalar_secs\":{:.9},\"simd_secs\":{:.9},\"speedup\":{:.4},\
-             \"warm_fresh_alloc_bytes\":{},\"steal_count\":{},\
-             \"deque_max_depth\":{}}}",
-            self.primitive,
-            self.n,
-            self.threads,
-            self.scalar_secs,
-            self.simd_secs,
-            self.speedup(),
-            self.warm_fresh_alloc_bytes,
-            self.steal_count,
-            self.deque_max_depth,
-        )
-    }
-}
 
 /// Deterministic pseudo-random u32 stream (splitmix-style), so the bench
 /// input is reproducible without any RNG dependency.
@@ -69,90 +30,73 @@ fn rand_u32s(n: usize, seed: u64) -> Vec<u32> {
         .collect()
 }
 
-/// What [`compare`] asks of its single driver closure — one closure (not
+/// What [`Setup::compare`] asks of its single driver closure — one closure (not
 /// three) so it can own mutable borrows of the shared input/output buffers.
 enum Op {
     /// The generic reference path.
-    Scalar,
+    Reference,
     /// The kernelized entry point.
-    Simd,
+    Kernel,
     /// Return the total output-buffer capacity in bytes.
     CapacityBytes,
 }
 
-/// Time the reference and kernel paths over `reps` warm repetitions each
-/// (after one untimed cold call apiece), tracking output-capacity growth
-/// across the timed region.
-fn compare(
-    primitive: &'static str,
+/// What every comparison shares: the input length, the worker budget and
+/// the number of timed repetitions.
+struct Setup {
     n: usize,
     threads: usize,
     reps: usize,
-    mut run: impl FnMut(Op) -> usize,
-) -> Row {
-    run(Op::Scalar);
-    run(Op::Simd);
-    let warm_before = run(Op::CapacityBytes);
-    let (_, scalar_t) = time_median(reps, || run(Op::Scalar));
-    let (_, simd_t) = time_median(reps, || run(Op::Simd));
-    let warm_after = run(Op::CapacityBytes);
-    Row {
-        primitive,
-        n,
-        threads,
-        scalar_secs: scalar_t.as_secs_f64(),
-        simd_secs: simd_t.as_secs_f64(),
-        warm_fresh_alloc_bytes: warm_after.saturating_sub(warm_before),
-        steal_count: fastbcc_primitives::steal_count() as u64,
-        deque_max_depth: fastbcc_primitives::deque_max_depth(),
+}
+
+impl Setup {
+    /// Time the reference and kernel paths of `primitive` on `input` over
+    /// `reps` warm repetitions each (after one untimed cold call apiece),
+    /// tracking output-capacity growth across the timed region:
+    /// `warm_fresh_alloc_bytes` must be 0, as both paths are required to
+    /// run allocation-free once the cold repetition has sized the buffers.
+    fn compare(&self, primitive: &str, input: &str, mut run: impl FnMut(Op) -> usize) -> Record {
+        let Setup { n, threads, reps } = *self;
+        run(Op::Reference);
+        run(Op::Kernel);
+        let warm_before = run(Op::CapacityBytes);
+        let (_, reference) = time_median(reps, || run(Op::Reference));
+        let (_, kernel) = time_median(reps, || run(Op::Kernel));
+        let warm_fresh = run(Op::CapacityBytes).saturating_sub(warm_before);
+        let (reference, kernel) = (reference.as_secs_f64(), kernel.as_secs_f64());
+        let speedup = reference / kernel.max(1e-12);
+        eprintln!(
+            "{primitive:<22} n={n:>9} t={threads} reference {reference:>10.6}s \
+             kernel {kernel:>10.6}s speedup {speedup:>5.2}x"
+        );
+        Record::new(input, primitive, n, threads)
+            .num("reference_secs", reference)
+            .num("kernel_secs", kernel)
+            .num("speedup", speedup)
+            .int("warm_fresh_alloc_bytes", warm_fresh)
+            .int("steal_count", fastbcc_primitives::steal_count())
+            .int("deque_max_depth", fastbcc_primitives::deque_max_depth())
     }
 }
 
 fn main() {
     let args = Args::parse();
-    let n = args.get_usize("--n", 1 << 22);
-    let reps = args.get_usize("--reps", 5);
-    let threads = {
-        let t = args.get_usize("--threads", 0);
-        if t == 0 {
-            fastbcc_primitives::num_threads()
-        } else {
-            t
-        }
+    let threads = match args.get_usize("--threads", 0) {
+        0 => fastbcc_primitives::num_threads(),
+        t => t,
     };
-
-    let rows = with_threads(threads, || run_all(n, reps, threads));
-
-    for r in &rows {
-        eprintln!(
-            "{:<22} n={:>9} t={} reference {:>10.6}s kernel {:>10.6}s speedup {:>5.2}x",
-            r.primitive,
-            r.n,
-            r.threads,
-            r.scalar_secs,
-            r.simd_secs,
-            r.speedup(),
-        );
-    }
-
+    let setup = Setup {
+        n: args.get_usize("--n", 1 << 22),
+        threads,
+        reps: args.get_usize("--reps", 5),
+    };
+    let rows = with_threads(threads, || run_all(&setup));
     let path = args.get("--json").unwrap_or("BENCH_primitives.json");
-    let body = rows
-        .iter()
-        .map(Row::to_json)
-        .collect::<Vec<_>>()
-        .join(",\n    ");
-    let doc = format!(
-        "{{\n  \"description\": \"generic reference vs kernelized flat-primitive entry points \
-         (median of {reps} warm reps, preallocated outputs)\",\n  \
-         \"threads\": {threads},\n  \"rows\": [\n    {body}\n  ]\n}}\n"
-    );
-    let mut f = std::fs::File::create(path).unwrap_or_else(|e| panic!("creating {path}: {e}"));
-    f.write_all(doc.as_bytes())
-        .unwrap_or_else(|e| panic!("writing {path}: {e}"));
-    eprintln!("[json ] wrote {path}");
+    write_json_lines(Some(path), &rows);
 }
 
-fn run_all(n: usize, reps: usize, threads: usize) -> Vec<Row> {
+fn run_all(setup: &Setup) -> Vec<Record> {
+    let n = setup.n;
     let mut rows = Vec::new();
 
     // --- Exclusive scan over usize counts (the pack/sort offset pass). ---
@@ -162,13 +106,13 @@ fn run_all(n: usize, reps: usize, threads: usize) -> Vec<Row> {
             .map(|&x| (x & 0xFF) as usize)
             .collect();
         let mut buf = vec![0usize; n];
-        rows.push(compare("scan_exclusive_usize", n, threads, reps, |op| {
+        rows.push(setup.compare("scan_exclusive_usize", "uniform_u8", |op| {
             match op {
-                Op::Scalar => {
+                Op::Reference => {
                     buf.copy_from_slice(&base);
                     scan::scan_exclusive_inplace(&mut buf, 0usize, |x, y| x + y);
                 }
-                Op::Simd => {
+                Op::Kernel => {
                     buf.copy_from_slice(&base);
                     scan::prefix_sums(&mut buf);
                 }
@@ -182,13 +126,13 @@ fn run_all(n: usize, reps: usize, threads: usize) -> Vec<Row> {
     {
         let base: Vec<u64> = rand_u32s(n, 2).iter().map(|&x| x as u64).collect();
         let mut buf = vec![0u64; n];
-        rows.push(compare("scan_inclusive_u64", n, threads, reps, |op| {
+        rows.push(setup.compare("scan_inclusive_u64", "uniform_u32", |op| {
             match op {
-                Op::Scalar => {
+                Op::Reference => {
                     buf.copy_from_slice(&base);
                     scan::scan_inclusive_inplace(&mut buf, 0u64, |x, y| x + y);
                 }
-                Op::Simd => {
+                Op::Kernel => {
                     buf.copy_from_slice(&base);
                     scan::scan_inclusive_u64(&mut buf);
                 }
@@ -212,10 +156,10 @@ fn run_all(n: usize, reps: usize, threads: usize) -> Vec<Row> {
         let mut out: Vec<u32> = Vec::new();
         reference(&mut out);
         let mut out2 = out.clone();
-        rows.push(compare("pack_neq_u32", n, threads, reps, |op| {
+        rows.push(setup.compare("pack_neq_u32", "half_sentinel_u32", |op| {
             match op {
-                Op::Scalar => reference(&mut out),
-                Op::Simd => pack::pack_neq_into(&src, EMPTY, &mut out2),
+                Op::Reference => reference(&mut out),
+                Op::Kernel => pack::pack_neq_into(&src, EMPTY, &mut out2),
                 Op::CapacityBytes => {
                     return (out.capacity() + out2.capacity()) * std::mem::size_of::<u32>()
                 }
@@ -238,10 +182,10 @@ fn run_all(n: usize, reps: usize, threads: usize) -> Vec<Row> {
         let mut out: Vec<u32> = Vec::new();
         reference(&mut out);
         let mut out2 = out.clone();
-        rows.push(compare("pack_bits_u64", n, threads, reps, |op| {
+        rows.push(setup.compare("pack_bits_u64", "uniform_bits", |op| {
             match op {
-                Op::Scalar => reference(&mut out),
-                Op::Simd => pack::pack_bits_into(&words, n, &mut out2),
+                Op::Reference => reference(&mut out),
+                Op::Kernel => pack::pack_bits_into(&words, n, &mut out2),
                 Op::CapacityBytes => {
                     return (out.capacity() + out2.capacity()) * std::mem::size_of::<u32>()
                 }

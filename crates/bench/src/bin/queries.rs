@@ -15,54 +15,15 @@
 //! the warm batches' `fresh_alloc_bytes` — which the `bench-smoke` CI gate
 //! requires to be 0, the same discipline as the solver's warm path.
 
-use fastbcc_bench::measure::{fmt_secs, geomean, json_escape, time, time_median, Args};
+use fastbcc_bench::measure::{
+    fmt_secs, geomean, time, time_median, write_json_lines, Args, Record,
+};
 use fastbcc_bench::runner::RunOpts;
 use fastbcc_bench::suite::filter_suite;
 use fastbcc_core::query::{random_mixed_batch, QueryScratch};
 use fastbcc_core::space::query_index_budget_bytes;
 use fastbcc_core::{BccEngine, BccOpts};
 use fastbcc_primitives::with_threads;
-use std::io::Write;
-
-struct QueryRecord {
-    graph: String,
-    n: usize,
-    m: usize,
-    nodes: usize,
-    blocks: usize,
-    cuts: usize,
-    threads: usize,
-    batch: usize,
-    build_secs: f64,
-    queries_per_sec: f64,
-    index_bytes: usize,
-    index_budget_bytes: usize,
-    warm_fresh_alloc_bytes: usize,
-}
-
-impl QueryRecord {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"graph\":{},\"n\":{},\"m\":{},\"nodes\":{},\"blocks\":{},\
-             \"cuts\":{},\"threads\":{},\"batch\":{},\"build_secs\":{:.9},\
-             \"queries_per_sec\":{:.3},\"index_bytes\":{},\
-             \"index_budget_bytes\":{},\"warm_fresh_alloc_bytes\":{}}}",
-            json_escape(&self.graph),
-            self.n,
-            self.m,
-            self.nodes,
-            self.blocks,
-            self.cuts,
-            self.threads,
-            self.batch,
-            self.build_secs,
-            self.queries_per_sec,
-            self.index_bytes,
-            self.index_budget_bytes,
-            self.warm_fresh_alloc_bytes,
-        )
-    }
-}
 
 fn main() {
     let args = Args::parse();
@@ -78,75 +39,66 @@ fn main() {
         "{:<6} {:>9} {:>10} {:>8} {:>8} {:>8} | {:>9} {:>12} {:>11} {:>6}",
         "graph", "n", "m", "blocks", "cuts", "build", "Mquery/s", "index MB", "budget MB", "fresh"
     );
-    let mut records: Vec<QueryRecord> = Vec::new();
+    let mut records = Vec::new();
+    let mut qps = Vec::new();
     for spec in filter_suite(opts.names.as_deref()) {
         eprintln!("[build] {} (scale {})", spec.name, opts.scale);
         let g = spec.build(opts.scale);
-        let rec = with_threads(p, || {
+        let (n, m) = (g.n(), g.m_undirected());
+        let (index, build_t, fresh, median) = with_threads(p, || {
             let mut engine = BccEngine::new(BccOpts::default());
             engine.solve(&g);
             let (index, build_t) = time(|| engine.build_index());
-            let queries = random_mixed_batch(g.n(), batch, 0xC0FFEE ^ g.n() as u64);
+            let queries = random_mixed_batch(n, batch, 0xC0FFEE ^ n as u64);
             let mut scratch = QueryScratch::with_capacity(batch);
             index.answer_batch(&queries, &mut scratch); // warm the pool
             let (fresh, median) = time_median(opts.reps, || {
                 index.answer_batch(&queries, &mut scratch);
                 scratch.fresh_alloc_bytes()
             });
-            QueryRecord {
-                graph: spec.name.to_string(),
-                n: g.n(),
-                m: g.m_undirected(),
-                nodes: index.node_count(),
-                blocks: index.num_blocks(),
-                cuts: index.num_cuts(),
-                threads: p,
-                batch,
-                build_secs: build_t.as_secs_f64(),
-                queries_per_sec: batch as f64 / median.as_secs_f64().max(1e-12),
-                index_bytes: index.bytes(),
-                index_budget_bytes: query_index_budget_bytes(g.n()),
-                warm_fresh_alloc_bytes: fresh,
-            }
+            (index, build_t, fresh, median)
         });
+        let queries_per_sec = batch as f64 / median.as_secs_f64().max(1e-12);
+        let (index_bytes, budget) = (index.bytes(), query_index_budget_bytes(n));
         println!(
             "{:<6} {:>9} {:>10} {:>8} {:>8} {:>8} | {:>9.2} {:>12.2} {:>11.2} {:>6}",
-            rec.graph,
-            rec.n,
-            rec.m,
-            rec.blocks,
-            rec.cuts,
-            fmt_secs(std::time::Duration::from_secs_f64(rec.build_secs)),
-            rec.queries_per_sec / 1e6,
-            rec.index_bytes as f64 / (1 << 20) as f64,
-            rec.index_budget_bytes as f64 / (1 << 20) as f64,
-            rec.warm_fresh_alloc_bytes,
+            spec.name,
+            n,
+            m,
+            index.num_blocks(),
+            index.num_cuts(),
+            fmt_secs(build_t),
+            queries_per_sec / 1e6,
+            index_bytes as f64 / (1 << 20) as f64,
+            budget as f64 / (1 << 20) as f64,
+            fresh,
         );
         assert!(
-            rec.index_bytes <= rec.index_budget_bytes,
-            "{}: index {} B over the {} B budget",
-            rec.graph,
-            rec.index_bytes,
-            rec.index_budget_bytes
+            index_bytes <= budget,
+            "{}: index {index_bytes} B over the {budget} B budget",
+            spec.name,
         );
-        records.push(rec);
+        qps.push(queries_per_sec);
+        records.push(
+            Record::new(spec.name, "bcc_index/batch", n, p)
+                .int("m", m)
+                .int("nodes", index.node_count())
+                .int("blocks", index.num_blocks())
+                .int("cuts", index.num_cuts())
+                .int("batch", batch)
+                .num("build_secs", build_t.as_secs_f64())
+                .num("queries_per_sec", queries_per_sec)
+                .int("index_bytes", index_bytes)
+                .int("index_budget_bytes", budget)
+                .int("warm_fresh_alloc_bytes", fresh),
+        );
     }
 
-    let qps: Vec<f64> = records.iter().map(|r| r.queries_per_sec).collect();
     println!(
         "--- geomean over {} graphs: {:.2} Mquery/s (batch {batch}, {p} threads) ---",
         records.len(),
         geomean(&qps) / 1e6
     );
 
-    if let Some(path) = args.get("--json") {
-        let mut f = std::io::BufWriter::new(
-            std::fs::File::create(path).unwrap_or_else(|e| panic!("creating {path}: {e}")),
-        );
-        for r in &records {
-            writeln!(f, "{}", r.to_json()).expect("write record");
-        }
-        f.flush().expect("flush json");
-        eprintln!("wrote {} records to {path}", records.len());
-    }
+    write_json_lines(args.get("--json"), &records);
 }

@@ -34,14 +34,13 @@
 //! during-rebuild columns are then empty (count 0), never missing.
 
 use fastbcc_bench::churn::perturbed_sequence;
-use fastbcc_bench::measure::{fmt_secs, geomean, json_escape, Args};
+use fastbcc_bench::measure::{fmt_secs, geomean, write_json_lines, Args, Record};
 use fastbcc_bench::runner::RunOpts;
 use fastbcc_bench::suite::filter_suite;
 use fastbcc_core::query::random_mixed_batch;
 use fastbcc_core::BccOpts;
 use fastbcc_primitives::with_threads;
 use fastbcc_serve::{run_concurrent, start, ServeOpts};
-use std::io::Write;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Instant;
@@ -52,79 +51,6 @@ struct ReaderSample {
     latencies: Vec<(u64, bool)>,
     fresh_alloc_bytes_max: usize,
     queries: u64,
-}
-
-struct ServeRecord {
-    graph: String,
-    n: usize,
-    m: usize,
-    threads: usize,
-    readers: usize,
-    batch: usize,
-    rebuilds: u64,
-    frac: f64,
-    rebuilds_incremental: u64,
-    rebuilds_full: u64,
-    wall_secs: f64,
-    queries_per_sec: f64,
-    batches_total: usize,
-    batches_during_rebuild: usize,
-    p50_us: f64,
-    p99_us: f64,
-    p999_us: f64,
-    rebuild_p50_us: f64,
-    rebuild_p99_us: f64,
-    rebuild_p999_us: f64,
-    rebuild_secs_mean: f64,
-    snapshots_published: u64,
-    snapshots_retired: u64,
-    snapshots_dropped: u64,
-    retire_backlog: u64,
-    reader_warm_fresh_alloc_bytes: usize,
-}
-
-impl ServeRecord {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"graph\":{},\"n\":{},\"m\":{},\"threads\":{},\
-             \"readers\":{},\"batch\":{},\"rebuilds\":{},\"frac\":{},\
-             \"rebuilds_incremental\":{},\"rebuilds_full\":{},\
-             \"wall_secs\":{:.9},\"queries_per_sec\":{:.3},\
-             \"batches_total\":{},\"batches_during_rebuild\":{},\
-             \"p50_us\":{:.3},\"p99_us\":{:.3},\"p999_us\":{:.3},\
-             \"rebuild_p50_us\":{:.3},\"rebuild_p99_us\":{:.3},\
-             \"rebuild_p999_us\":{:.3},\"rebuild_secs_mean\":{:.9},\
-             \"snapshots_published\":{},\"snapshots_retired\":{},\
-             \"snapshots_dropped\":{},\"retire_backlog\":{},\
-             \"reader_warm_fresh_alloc_bytes\":{}}}",
-            json_escape(&self.graph),
-            self.n,
-            self.m,
-            self.threads,
-            self.readers,
-            self.batch,
-            self.rebuilds,
-            self.frac,
-            self.rebuilds_incremental,
-            self.rebuilds_full,
-            self.wall_secs,
-            self.queries_per_sec,
-            self.batches_total,
-            self.batches_during_rebuild,
-            self.p50_us,
-            self.p99_us,
-            self.p999_us,
-            self.rebuild_p50_us,
-            self.rebuild_p99_us,
-            self.rebuild_p999_us,
-            self.rebuild_secs_mean,
-            self.snapshots_published,
-            self.snapshots_retired,
-            self.snapshots_dropped,
-            self.retire_backlog,
-            self.reader_warm_fresh_alloc_bytes,
-        )
-    }
 }
 
 /// Percentile over sorted nanosecond samples, in microseconds (0.0 when
@@ -141,7 +67,7 @@ fn main() {
     let args = Args::parse();
     let opts = RunOpts::from_args(&args);
     let batch = args.get_usize("--batch", 10_000);
-    let rebuilds = args.get_usize("--rebuilds", 6) as u64;
+    let rebuilds = args.get_usize("--rebuilds", 6);
     let frac = args.get_f64("--frac", 0.01);
     let p = opts.effective_threads();
     let readers = match args.get_usize("--readers", 0) {
@@ -168,7 +94,8 @@ fn main() {
         "fresh"
     );
 
-    let mut records: Vec<ServeRecord> = Vec::new();
+    let mut records = Vec::new();
+    let mut qps = Vec::new();
     for spec in filter_suite(opts.names.as_deref()) {
         eprintln!("[build] {} (scale {})", spec.name, opts.scale);
         let g = spec.build(opts.scale);
@@ -184,7 +111,7 @@ fn main() {
             // The churn schedule the service is pushed through: one delta
             // per rebuild, shared with the `batch_dynamic` bench so both
             // artifacts measure the same update stream.
-            let schedule = perturbed_sequence(&g, rebuilds as usize, frac, 0x5EE5);
+            let schedule = perturbed_sequence(&g, rebuilds, frac, 0x5EE5);
             let g = Arc::new(g);
 
             let mut tasks: Vec<Box<dyn FnOnce() + Send>> = Vec::with_capacity(readers + 1);
@@ -261,70 +188,65 @@ fn main() {
             let rep = handle.stats_report();
             assert_eq!(
                 rep.published_version,
-                rebuilds + 1,
+                rebuilds as u64 + 1,
                 "every rebuild published"
             );
-            ServeRecord {
-                graph: spec.name.to_string(),
-                n: g.n(),
-                m: g.m_undirected(),
-                threads: p,
-                readers,
-                batch,
-                rebuilds,
-                frac,
-                rebuilds_incremental: rep.rebuilds_incremental,
-                rebuilds_full: rep.rebuilds_full,
-                wall_secs: wall.as_secs_f64(),
-                queries_per_sec: queries_total as f64 / wall.as_secs_f64().max(1e-12),
-                batches_total: all_ns.len(),
-                batches_during_rebuild: rebuild_ns.len(),
-                p50_us: percentile_us(&all_ns, 0.50),
-                p99_us: percentile_us(&all_ns, 0.99),
-                p999_us: percentile_us(&all_ns, 0.999),
-                rebuild_p50_us: percentile_us(&rebuild_ns, 0.50),
-                rebuild_p99_us: percentile_us(&rebuild_ns, 0.99),
-                rebuild_p999_us: percentile_us(&rebuild_ns, 0.999),
-                rebuild_secs_mean: rep.rebuild_secs_total / rep.rebuilds.max(1) as f64,
-                snapshots_published: rep.snapshots_published,
-                snapshots_retired: rep.snapshots_retired,
-                snapshots_dropped: rep.snapshots_dropped,
-                retire_backlog: rep.retire_backlog,
-                reader_warm_fresh_alloc_bytes: fresh_max,
-            }
+            let queries_per_sec = queries_total as f64 / wall.as_secs_f64().max(1e-12);
+            let (p50, p99, p999) = (
+                percentile_us(&all_ns, 0.50),
+                percentile_us(&all_ns, 0.99),
+                percentile_us(&all_ns, 0.999),
+            );
+            let rebuild_p99 = percentile_us(&rebuild_ns, 0.99);
+            let rebuild_secs_mean = rep.rebuild_secs_total / rep.rebuilds.max(1) as f64;
+            println!(
+                "{:<6} {:>9} {:>10} | {:>9.2} {:>9.1} {:>9.1} {:>9.1} | {:>9.1} {:>9} {:>7} {:>5}",
+                spec.name,
+                g.n(),
+                g.m_undirected(),
+                queries_per_sec / 1e6,
+                p50,
+                p99,
+                p999,
+                rebuild_p99,
+                fmt_secs(std::time::Duration::from_secs_f64(rebuild_secs_mean)),
+                all_ns.len(),
+                fresh_max,
+            );
+            qps.push(queries_per_sec);
+            Record::new(spec.name, "serve", g.n(), p)
+                .int("m", g.m_undirected())
+                .int("readers", readers)
+                .int("batch", batch)
+                .int("rebuilds", rebuilds)
+                .num("frac", frac)
+                .int("rebuilds_incremental", rep.rebuilds_incremental as usize)
+                .int("rebuilds_full", rep.rebuilds_full as usize)
+                .num("wall_secs", wall.as_secs_f64())
+                .num("queries_per_sec", queries_per_sec)
+                .int("batches_total", all_ns.len())
+                .int("batches_during_rebuild", rebuild_ns.len())
+                .num("p50_us", p50)
+                .num("p99_us", p99)
+                .num("p999_us", p999)
+                .num("rebuild_p50_us", percentile_us(&rebuild_ns, 0.50))
+                .num("rebuild_p99_us", rebuild_p99)
+                .num("rebuild_p999_us", percentile_us(&rebuild_ns, 0.999))
+                .num("rebuild_secs_mean", rebuild_secs_mean)
+                .int("snapshots_published", rep.snapshots_published as usize)
+                .int("snapshots_retired", rep.snapshots_retired as usize)
+                .int("snapshots_dropped", rep.snapshots_dropped as usize)
+                .int("retire_backlog", rep.retire_backlog as usize)
+                .int("reader_warm_fresh_alloc_bytes", fresh_max)
         });
-        println!(
-            "{:<6} {:>9} {:>10} | {:>9.2} {:>9.1} {:>9.1} {:>9.1} | {:>9.1} {:>9} {:>7} {:>5}",
-            rec.graph,
-            rec.n,
-            rec.m,
-            rec.queries_per_sec / 1e6,
-            rec.p50_us,
-            rec.p99_us,
-            rec.p999_us,
-            rec.rebuild_p99_us,
-            fmt_secs(std::time::Duration::from_secs_f64(rec.rebuild_secs_mean)),
-            rec.batches_total,
-            rec.reader_warm_fresh_alloc_bytes,
-        );
         records.push(rec);
     }
 
-    let qps: Vec<f64> = records.iter().map(|r| r.queries_per_sec).collect();
     println!(
         "--- geomean over {} graphs: {:.2} Mquery/s served under churn ({readers} readers, {p} threads) ---",
         records.len(),
         geomean(&qps) / 1e6
     );
 
-    if let Some(path) = args.get("--json") {
-        let mut f = std::io::BufWriter::new(
-            std::fs::File::create(path).unwrap_or_else(|e| panic!("creating {path}: {e}")),
-        );
-        for r in &records {
-            writeln!(f, "{}", r.to_json()).expect("write record");
-        }
-        f.flush().expect("flush json");
-        eprintln!("wrote {} records to {path}", records.len());
-    }
+    write_json_lines(args.get("--json"), &records);
 }

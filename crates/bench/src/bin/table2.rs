@@ -17,7 +17,7 @@
 //! (highlighted yellow in the paper), `n` under SM'14 = no support
 //! (disconnected input).
 
-use fastbcc_bench::measure::{fmt_secs, geomean, Args};
+use fastbcc_bench::measure::{fmt_secs, geomean, write_json_lines, Args};
 use fastbcc_bench::runner::{run_suite, RowResult, RunOpts};
 use fastbcc_bench::suite::Category;
 
@@ -49,15 +49,11 @@ fn main() {
     }
     print_means(&rows);
 
-    if let Some(path) = args.get("--json") {
-        let records: Vec<_> = rows
-            .iter()
-            .flat_map(|r| r.records(opts.effective_threads()))
-            .collect();
-        fastbcc_bench::measure::write_json_lines(path, &records)
-            .unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        eprintln!("wrote {} records to {path}", records.len());
-    }
+    let records: Vec<_> = rows
+        .iter()
+        .flat_map(|r| r.records(opts.effective_threads()))
+        .collect();
+    write_json_lines(args.get("--json"), &records);
 }
 
 fn print_row(r: &RowResult) {

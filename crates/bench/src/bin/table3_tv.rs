@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! cargo run --release -p fastbcc-bench --bin table3_tv -- \
-//!     [--scale 0.1] [--reps 3] [--graphs ...]
+//!     [--scale 0.1] [--reps 3] [--threads 0] [--graphs ...]
 //! ```
 //!
 //! Expected shape (paper §D): TV beats SEQ everywhere but loses to
@@ -13,28 +13,21 @@
 
 use fastbcc_baselines::{bfs_bcc, hopcroft_tarjan, tarjan_vishkin};
 use fastbcc_bench::measure::{fmt_secs, time_median, Args};
+use fastbcc_bench::runner::RunOpts;
 use fastbcc_bench::suite::filter_suite;
 use fastbcc_core::{fast_bcc, BccOpts};
 use fastbcc_primitives::with_threads;
 
 fn main() {
     let args = Args::parse();
-    let scale = args.get_f64("--scale", 0.1);
-    let reps = args.get_usize("--reps", 3);
-    let p = args.get_usize("--threads", 0);
-    let p = if p == 0 {
-        std::thread::available_parallelism()
-            .map(|x| x.get())
-            .unwrap_or(1)
-    } else {
-        p
-    };
+    let opts = RunOpts::from_args(&args);
+    let (scale, reps, p) = (opts.scale, opts.reps, opts.effective_threads());
 
     println!(
         "{:<8} {:>9} {:>9} {:>9} {:>9} {:>9} | {:>10}",
         "graph", "n", "Ours", "GBBS*", "TV", "SEQ", "TV skel |E'|"
     );
-    for spec in filter_suite(args.get("--graphs")) {
+    for spec in filter_suite(opts.names.as_deref()) {
         let g = spec.build(scale);
         let (tv_res, tv) = with_threads(p, || time_median(reps, || tarjan_vishkin(&g, 5)));
         let (ours_res, ours) =

@@ -5,8 +5,10 @@
 //!
 //! * [`suite`] — the 20-graph benchmark collection mirroring Tab. 2's five
 //!   categories at laptop scale (all sizes scale with `--scale`);
-//! * [`measure`] — timing helpers (median-of-k, scoped thread pools,
-//!   geometric means — the paper's aggregate of choice);
+//! * [`measure`] — timing helpers (median-of-k, geometric means — the
+//!   paper's aggregate of choice) and [`measure::Record`], the one row
+//!   shape every binary writes as JSON lines (shared keys `graph`, `algo`,
+//!   `n`, `threads`);
 //! * [`runner`] — the shared per-graph measurement loop behind the
 //!   `table2` and `fig1_heatmap` binaries;
 //! * [`churn`] — churn-batch / perturbed-graph generation shared by the

@@ -1,12 +1,9 @@
 //! Measurement utilities: repeated timing with medians (the paper runs
 //! each test 10× and reports the median), geometric means (the paper's
 //! cross-graph aggregate), simple CLI-argument parsing shared by the
-//! experiment binaries, and JSON-lines emission of per-run records —
-//! including the space counters ([`RunRecord::aux_peak_bytes`] /
-//! [`RunRecord::fresh_alloc_bytes`]) that future PRs chart for the Fig. 7
-//! space trajectory.
+//! experiment binaries, and the one row type every bin emits
+//! ([`Record`]) with its JSON-lines writer.
 
-use std::io::Write;
 use std::time::{Duration, Instant};
 
 /// Time one invocation.
@@ -53,108 +50,103 @@ pub fn fmt_secs(d: Duration) -> String {
     }
 }
 
-/// One benchmark observation, serialized as a JSON object. Space columns
-/// are recorded alongside time so one artifact feeds both the Tab. 2 time
-/// charts and the Fig. 7 space-trajectory charts.
-#[derive(Clone, Debug, Default)]
-pub struct RunRecord {
-    /// Suite graph name (e.g. `"SQR*"`).
-    pub graph: String,
-    /// Algorithm/configuration label (e.g. `"fast_bcc/par"`).
-    pub algo: String,
-    /// Vertex count.
-    pub n: usize,
-    /// Undirected edge count.
-    pub m: usize,
-    /// Installed worker budget the run was measured under (1 = sequential
-    /// configuration). With the persistent pool this is the *enforced*
-    /// concurrency cap, not a request — see `fastbcc_primitives::with_threads`.
-    pub threads: usize,
-    /// OS worker threads the shared pool had spawned when the record was
-    /// taken. Constant across warm runs; recorded to prove measured runs
-    /// paid no thread-spawn latency.
-    pub pool_workers: usize,
-    /// Median wall-clock seconds.
-    pub median_secs: f64,
-    /// Peak auxiliary bytes held live during the run (Fig. 7 metric).
-    pub aux_peak_bytes: usize,
-    /// Buffer capacity newly allocated during the run — 0 when a pooled
-    /// `BccEngine` workspace served every major array.
-    pub fresh_alloc_bytes: usize,
-    /// Bytes held in the frontier-staging buffers (the shared edgeMap
-    /// claim slots and dense bitmaps, plus the bounded per-worker
-    /// local-search stacks). 0 for algorithms that stage nothing.
-    pub arena_bytes: usize,
-    /// Total reserved bytes of the pooled engine workspace (capacity of
-    /// every scratch buffer) — the `O(n + m)` space-regression gate reads
-    /// this. 0 for algorithms without a pooled workspace.
-    pub scratch_bytes: usize,
-    /// The linear budget `scratch_bytes` must fit
-    /// (`fastbcc_core::space::workspace_budget_bytes`), emitted alongside
-    /// the measurement so the CI gate compares two fields instead of
-    /// duplicating the formula. 0 when no budget applies.
-    pub scratch_budget_bytes: usize,
-    /// Cumulative successful deque steals in the worker pool when the
-    /// record was taken (process-lifetime counter; deltas between records
-    /// show how much load balancing a run needed). Always 0 under the
-    /// sequential budget or when upstream rayon replaces the shim.
-    pub steal_count: u64,
-    /// High-water mark of any worker's deque depth (process lifetime) —
-    /// bounded by the pool's fixed deque capacity, so a value near that
-    /// cap flags ranges spilling to the shared claim cursor.
-    pub deque_max_depth: usize,
-    /// Graph backend the run solved against
-    /// (`fastbcc_graph::GraphView::backend_name`: `"flat"`,
-    /// `"compressed"`, `"flat-mmap"`, `"compressed-mmap"`). Empty for
-    /// records that predate the backend column or don't touch a graph.
-    pub backend: String,
-    /// Bytes the graph representation itself occupies
-    /// ([`fastbcc_graph::GraphView::bytes`]) — the Fig. 7 space charts
-    /// divide this by `m` for the bytes-per-edge column.
-    pub graph_bytes: usize,
-    /// Bytes the graph representation has *reserved*
-    /// ([`fastbcc_graph::GraphView::capacity_bytes`]); slack beyond
-    /// `graph_bytes` is pooled-buffer headroom, not data.
-    pub graph_capacity_bytes: usize,
+/// One benchmark row: an ordered list of `(key, value)` columns, written
+/// as one JSON object per line by [`write_json_lines`]. Every bin's rows
+/// start from [`Record::new`], so every row carries the shared keys
+/// `graph`, `algo`, `n` and `threads`; the rest are the bin's own columns,
+/// appended in order with the typed setters.
+#[derive(Debug)]
+pub struct Record {
+    cols: Vec<(&'static str, Value)>,
 }
 
-impl RunRecord {
-    /// Serialize as a single JSON object (no external deps; keys are fixed
-    /// and the only string fields are escaped).
+#[derive(Debug)]
+enum Value {
+    /// `None` is written as `null`.
+    Str(Option<String>),
+    Int(usize),
+    /// Non-finite values are written as `null`.
+    Num(f64),
+    Bool(bool),
+}
+
+impl Record {
+    /// A row with the shared keys: the input's name, the algorithm or
+    /// configuration label (e.g. `"fast_bcc/warm"`), the input's vertex
+    /// (or element) count, and the worker budget it was measured under.
+    pub fn new(graph: &str, algo: &str, n: usize, threads: usize) -> Self {
+        Self { cols: Vec::new() }
+            .str("graph", graph)
+            .str("algo", algo)
+            .int("n", n)
+            .int("threads", threads)
+    }
+
+    /// Append a string column (`None` → `null`).
+    pub fn str<'a>(self, key: &'static str, v: impl Into<Option<&'a str>>) -> Self {
+        self.push(key, Value::Str(v.into().map(String::from)))
+    }
+
+    /// Append an integer column (counts and byte sizes).
+    pub fn int(self, key: &'static str, v: usize) -> Self {
+        self.push(key, Value::Int(v))
+    }
+
+    /// Append a floating-point column (seconds, rates, ratios).
+    pub fn num(self, key: &'static str, v: f64) -> Self {
+        self.push(key, Value::Num(v))
+    }
+
+    /// Append a boolean column.
+    pub fn flag(self, key: &'static str, v: bool) -> Self {
+        self.push(key, Value::Bool(v))
+    }
+
+    /// Append the worker pool's process-lifetime counters as the record is
+    /// taken: OS workers spawned (`pool_workers`, constant across warm
+    /// runs), successful deque steals (`steal_count`) and the deepest any
+    /// worker deque got (`deque_max_depth`).
+    pub fn pool_counters(self) -> Self {
+        self.int("pool_workers", fastbcc_primitives::pool_spawns())
+            .int("steal_count", fastbcc_primitives::steal_count())
+            .int("deque_max_depth", fastbcc_primitives::deque_max_depth())
+    }
+
+    fn push(mut self, key: &'static str, v: Value) -> Self {
+        debug_assert!(
+            self.cols.iter().all(|(k, _)| *k != key),
+            "duplicate column {key}"
+        );
+        self.cols.push((key, v));
+        self
+    }
+
+    /// Serialize as a single JSON object, columns in insertion order.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"graph\":{},\"algo\":{},\"n\":{},\"m\":{},\"threads\":{},\
-             \"pool_workers\":{},\"median_secs\":{:.9},\"aux_peak_bytes\":{},\
-             \"fresh_alloc_bytes\":{},\"arena_bytes\":{},\"scratch_bytes\":{},\
-             \"scratch_budget_bytes\":{},\"steal_count\":{},\
-             \"deque_max_depth\":{},\"backend\":{},\"graph_bytes\":{},\
-             \"graph_capacity_bytes\":{}}}",
-            json_escape(&self.graph),
-            json_escape(&self.algo),
-            self.n,
-            self.m,
-            self.threads,
-            self.pool_workers,
-            self.median_secs,
-            self.aux_peak_bytes,
-            self.fresh_alloc_bytes,
-            self.arena_bytes,
-            self.scratch_bytes,
-            self.scratch_budget_bytes,
-            self.steal_count,
-            self.deque_max_depth,
-            json_escape(&self.backend),
-            self.graph_bytes,
-            self.graph_capacity_bytes,
-        )
+        let mut out = String::from("{");
+        for (i, (key, v)) in self.cols.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            push_json_str(&mut out, key);
+            out.push(':');
+            match v {
+                Value::Str(Some(s)) => push_json_str(&mut out, s),
+                Value::Int(x) => out.push_str(&x.to_string()),
+                Value::Num(x) if x.is_finite() => out.push_str(&x.to_string()),
+                Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+                Value::Str(None) | Value::Num(_) => out.push_str("null"),
+            }
+        }
+        out.push('}');
+        out
     }
 }
 
-/// Quote and escape a string for JSON embedding (quotes, backslashes, and
-/// control characters) — shared by every bench bin that formats records by
-/// hand, so no artifact can emit invalid JSON for an exotic graph name.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
+/// Append `s` quoted and escaped for JSON (quotes, backslashes, and
+/// control characters), so no row can emit invalid JSON for an exotic
+/// graph name.
+fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -168,17 +160,17 @@ pub fn json_escape(s: &str) -> String {
         }
     }
     out.push('"');
-    out
 }
 
-/// Write records as JSON lines (one object per line — append-friendly and
-/// trivially parsed by any plotting script).
-pub fn write_json_lines(path: &str, records: &[RunRecord]) -> std::io::Result<()> {
-    let mut f = std::io::BufWriter::new(std::fs::File::create(path)?);
-    for r in records {
-        writeln!(f, "{}", r.to_json())?;
-    }
-    f.flush()
+/// Write `records` as JSON lines (one object per line — append-friendly
+/// and trivially parsed by any plotting script) to `path`, if one was
+/// given (the bins pass their `--json` argument). Panics if the file
+/// cannot be written: a bench run without its artifact is a failed run.
+pub fn write_json_lines(path: Option<&str>, records: &[Record]) {
+    let Some(path) = path else { return };
+    let text: String = records.iter().map(|r| r.to_json() + "\n").collect();
+    std::fs::write(path, text).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+    eprintln!("wrote {} records to {path}", records.len());
 }
 
 /// Minimal CLI parsing: `--key value` pairs and flags.
@@ -250,63 +242,27 @@ mod tests {
     }
 
     #[test]
-    fn run_record_json_shape() {
-        let r = RunRecord {
-            graph: "SQR*".into(),
-            algo: "fast_bcc/par".into(),
-            n: 10,
-            m: 20,
-            threads: 4,
-            pool_workers: 3,
-            median_secs: 0.25,
-            aux_peak_bytes: 4096,
-            fresh_alloc_bytes: 0,
-            arena_bytes: 2048,
-            scratch_bytes: 65536,
-            scratch_budget_bytes: 131072,
-            steal_count: 17,
-            deque_max_depth: 5,
-            backend: "compressed".into(),
-            graph_bytes: 333,
-            graph_capacity_bytes: 444,
-        };
-        let j = r.to_json();
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        assert!(j.contains("\"graph\":\"SQR*\""));
-        assert!(j.contains("\"backend\":\"compressed\""));
-        assert!(j.contains("\"graph_bytes\":333"));
-        assert!(j.contains("\"graph_capacity_bytes\":444"));
-        assert!(j.contains("\"pool_workers\":3"));
-        assert!(j.contains("\"aux_peak_bytes\":4096"));
-        assert!(j.contains("\"fresh_alloc_bytes\":0"));
-        assert!(j.contains("\"arena_bytes\":2048"));
-        assert!(j.contains("\"scratch_bytes\":65536"));
-        assert!(j.contains("\"scratch_budget_bytes\":131072"));
-        assert!(j.contains("\"steal_count\":17"));
-        assert!(j.contains("\"deque_max_depth\":5"));
-        assert!(j.contains("\"median_secs\":0.25"));
+    fn record_json_shape() {
+        let r = Record::new("SQR*", "fast_bcc/par", 10, 4)
+            .int("m", 20)
+            .num("median_secs", 0.25)
+            .str("backend", "compressed")
+            .str("last_fallback", None)
+            .flag("equal", true)
+            .num("speedup", f64::NAN)
+            .num("ratio", f64::INFINITY);
+        assert_eq!(
+            r.to_json(),
+            "{\"graph\":\"SQR*\",\"algo\":\"fast_bcc/par\",\"n\":10,\"threads\":4,\
+             \"m\":20,\"median_secs\":0.25,\"backend\":\"compressed\",\
+             \"last_fallback\":null,\"equal\":true,\"speedup\":null,\"ratio\":null}"
+        );
     }
 
     #[test]
     fn json_escaping_of_strings() {
-        let r = RunRecord {
-            graph: "a\"b\\c\nd".into(),
-            algo: "x".into(),
-            n: 0,
-            m: 0,
-            threads: 1,
-            pool_workers: 0,
-            median_secs: 0.0,
-            aux_peak_bytes: 0,
-            fresh_alloc_bytes: 0,
-            arena_bytes: 0,
-            scratch_bytes: 0,
-            scratch_budget_bytes: 0,
-            steal_count: 0,
-            deque_max_depth: 0,
-            ..Default::default()
-        };
-        assert!(r.to_json().contains("a\\\"b\\\\c\\nd"));
+        let r = Record::new("a\"b\\c\nd\u{1}", "x", 0, 1);
+        assert!(r.to_json().contains("\"a\\\"b\\\\c\\nd\\u0001\""));
     }
 
     #[test]
@@ -314,42 +270,10 @@ mod tests {
         let path =
             std::env::temp_dir().join(format!("fastbcc_measure_json_{}.jsonl", std::process::id()));
         let recs = vec![
-            RunRecord {
-                graph: "g1".into(),
-                algo: "a".into(),
-                n: 1,
-                m: 2,
-                threads: 1,
-                pool_workers: 0,
-                median_secs: 0.5,
-                aux_peak_bytes: 100,
-                fresh_alloc_bytes: 100,
-                arena_bytes: 0,
-                scratch_bytes: 0,
-                scratch_budget_bytes: 0,
-                steal_count: 0,
-                deque_max_depth: 0,
-                ..Default::default()
-            },
-            RunRecord {
-                graph: "g2".into(),
-                algo: "b".into(),
-                n: 3,
-                m: 4,
-                threads: 2,
-                pool_workers: 1,
-                median_secs: 1.5,
-                aux_peak_bytes: 200,
-                fresh_alloc_bytes: 0,
-                arena_bytes: 64,
-                scratch_bytes: 4096,
-                scratch_budget_bytes: 8192,
-                steal_count: 3,
-                deque_max_depth: 2,
-                ..Default::default()
-            },
+            Record::new("g1", "a", 1, 1).num("median_secs", 0.5),
+            Record::new("g2", "b", 3, 2).int("fresh_alloc_bytes", 0),
         ];
-        write_json_lines(path.to_str().unwrap(), &recs).unwrap();
+        write_json_lines(path.to_str(), &recs);
         let text = std::fs::read_to_string(&path).unwrap();
         std::fs::remove_file(&path).ok();
         let lines: Vec<&str> = text.lines().collect();

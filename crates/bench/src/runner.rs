@@ -3,7 +3,7 @@
 //! parallel and single-thread configurations, cross-check the BCC counts,
 //! and collect a row of results.
 
-use crate::measure::{time_median, Args, RunRecord};
+use crate::measure::{time_median, Args, Record};
 use crate::suite::{filter_suite, Category, GraphSpec};
 use fastbcc_baselines::{bfs_bcc, hopcroft_tarjan, sm14};
 use fastbcc_core::{fast_bcc, largest_bcc_size, BccEngine, BccOpts};
@@ -73,75 +73,68 @@ impl RowResult {
     /// Flatten into per-(graph, algo) JSON records, carrying the space
     /// counters where the algorithm reports them. `threads` is the worker
     /// budget of the parallel configurations; with the persistent pool it
-    /// is enforced, not merely requested (see `with_threads`).
-    pub fn records(&self, threads: usize) -> Vec<RunRecord> {
+    /// is enforced, not merely requested (see `with_threads`). Only the
+    /// warm record reports the pooled workspace (`scratch_bytes`) and the
+    /// linear budget it must fit (`scratch_budget_bytes`); the graph
+    /// columns are fig7's and stay empty here.
+    pub fn records(&self, threads: usize) -> Vec<Record> {
         let rec = |algo: &str, t: Duration, thr: usize, peak: usize, fresh: usize, arena: usize| {
-            RunRecord {
-                graph: self.name.to_string(),
-                algo: algo.to_string(),
-                n: self.n,
-                m: self.m,
-                threads: thr,
-                pool_workers: fastbcc_primitives::pool_spawns(),
-                median_secs: t.as_secs_f64(),
-                aux_peak_bytes: peak,
-                fresh_alloc_bytes: fresh,
-                arena_bytes: arena,
-                scratch_bytes: 0,
-                scratch_budget_bytes: 0,
-                steal_count: fastbcc_primitives::steal_count() as u64,
-                deque_max_depth: fastbcc_primitives::deque_max_depth(),
-                ..Default::default()
-            }
+            let (scratch, budget) = if algo == "fast_bcc/warm" {
+                let budget = fastbcc_core::space::workspace_budget_bytes(self.n, self.m);
+                (self.ours_scratch_bytes, budget)
+            } else {
+                (0, 0)
+            };
+            Record::new(self.name, algo, self.n, thr)
+                .int("m", self.m)
+                .num("median_secs", t.as_secs_f64())
+                .int("aux_peak_bytes", peak)
+                .int("fresh_alloc_bytes", fresh)
+                .int("arena_bytes", arena)
+                .int("scratch_bytes", scratch)
+                .int("scratch_budget_bytes", budget)
+                .pool_counters()
+                .str("backend", "")
+                .int("graph_bytes", 0)
+                .int("graph_capacity_bytes", 0)
         };
-        let warm_rec = {
-            let mut r = rec(
-                "fast_bcc/warm",
-                self.ours_warm,
-                threads,
-                self.ours_aux_peak_bytes,
-                self.ours_warm_fresh_bytes,
-                self.ours_arena_bytes,
-            );
-            r.scratch_bytes = self.ours_scratch_bytes;
-            r.scratch_budget_bytes = fastbcc_core::space::workspace_budget_bytes(self.n, self.m);
-            r
-        };
+        let (ours_peak, ours_arena) = (self.ours_aux_peak_bytes, self.ours_arena_bytes);
+        let (gbbs_peak, gbbs_fresh) = (self.gbbs_aux_peak_bytes, self.gbbs_fresh_bytes);
         let mut out = vec![
             rec("hopcroft_tarjan/seq", self.seq, 1, 0, 0, 0),
             rec(
                 "fast_bcc/par",
                 self.ours_par,
                 threads,
-                self.ours_aux_peak_bytes,
+                ours_peak,
                 self.ours_fresh_bytes,
-                self.ours_arena_bytes,
+                ours_arena,
             ),
             rec(
                 "fast_bcc/seq",
                 self.ours_seq,
                 1,
-                self.ours_aux_peak_bytes,
+                ours_peak,
                 self.ours_seq_fresh_bytes,
-                self.ours_arena_bytes,
+                ours_arena,
             ),
-            warm_rec,
+            rec(
+                "fast_bcc/warm",
+                self.ours_warm,
+                threads,
+                ours_peak,
+                self.ours_warm_fresh_bytes,
+                ours_arena,
+            ),
             rec(
                 "bfs_bcc/par",
                 self.gbbs_par,
                 threads,
-                self.gbbs_aux_peak_bytes,
-                self.gbbs_fresh_bytes,
+                gbbs_peak,
+                gbbs_fresh,
                 0,
             ),
-            rec(
-                "bfs_bcc/seq",
-                self.gbbs_seq,
-                1,
-                self.gbbs_aux_peak_bytes,
-                self.gbbs_fresh_bytes,
-                0,
-            ),
+            rec("bfs_bcc/seq", self.gbbs_seq, 1, gbbs_peak, gbbs_fresh, 0),
         ];
         if let Some(t) = self.sm14_par {
             out.push(rec("sm14/par", t, threads, 0, 0, 0));
@@ -150,7 +143,9 @@ impl RowResult {
     }
 }
 
-/// Harness options (shared CLI surface of `table2` and `fig1_heatmap`).
+/// Harness options: the shared `--scale`, `--reps`, `--threads` and
+/// `--graphs` surface of the suite bins (`--threads 0` = the runtime
+/// default, honoring `FASTBCC_THREADS`).
 pub struct RunOpts {
     pub scale: f64,
     pub reps: usize,
@@ -296,31 +291,40 @@ mod tests {
             let row = run_one(spec, &g, &opts);
             assert!(row.seq > Duration::ZERO);
             assert!(row.num_bcc > 0);
-            let recs = row.records(opts.threads);
+            let recs: Vec<String> = row
+                .records(opts.threads)
+                .iter()
+                .map(Record::to_json)
+                .collect();
             assert!(recs
                 .iter()
-                .any(|r| r.algo == "fast_bcc/par" && r.threads == 2));
+                .any(|r| r.contains("\"algo\":\"fast_bcc/par\"") && r.contains("\"threads\":2,")));
             // The warm-engine acceptance gates, in miniature: a warm
             // pooled solve allocates nothing even under a parallel
             // schedule, and its reserved workspace fits the linear
             // `c · (n + m)` budget (no hidden `O(n · P)` staging).
             let warm = recs
                 .iter()
-                .find(|r| r.algo == "fast_bcc/warm")
+                .find(|r| r.contains("\"algo\":\"fast_bcc/warm\""))
                 .expect("warm record missing");
             assert_eq!(
-                warm.fresh_alloc_bytes, 0,
+                row.ours_warm_fresh_bytes, 0,
                 "warm engine re-solve allocated fresh bytes"
             );
-            let budget = warm.scratch_budget_bytes;
+            assert!(warm.contains("\"fresh_alloc_bytes\":0,"), "{warm}");
+            let budget = fastbcc_core::space::workspace_budget_bytes(row.n, row.m);
             assert!(
-                warm.scratch_bytes > 0 && warm.scratch_bytes <= budget,
+                row.ours_scratch_bytes > 0 && row.ours_scratch_bytes <= budget,
                 "warm workspace {} bytes outside (0, {}] for n={} m={}",
-                warm.scratch_bytes,
+                row.ours_scratch_bytes,
                 budget,
-                warm.n,
-                warm.m
+                row.n,
+                row.m
             );
+            let scratch = format!("\"scratch_bytes\":{},", row.ours_scratch_bytes);
+            assert!(warm.contains(&scratch), "{warm}");
+            let budget = format!("\"scratch_budget_bytes\":{budget},");
+            assert!(warm.contains(&budget), "{warm}");
         }
     }
 }

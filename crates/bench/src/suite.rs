@@ -179,7 +179,7 @@ fn scale_pow2(n: usize, s: f64) -> u32 {
     (target.log2().round() as u32).clamp(4, 30)
 }
 
-/// A fast subset for smoke tests and criterion benches.
+/// A fast subset for smoke tests.
 pub fn small_suite() -> Vec<GraphSpec> {
     suite()
         .into_iter()

@@ -31,7 +31,7 @@
 //! primitives, and the radix-sort ping-pong passes on huge key spaces.
 //! These are short-lived churn within a solve — candidates for future
 //! pooling — whereas `fresh()` answers the narrower question the
-//! acceptance criterion poses: did any *pooled* buffer (the major arrays
+//! zero-allocation gate poses: did any *pooled* buffer (the major arrays
 //! listed above) have to grow this solve. The frontier machinery
 //! (per-round frontier double-buffer, start-round grouping, and the
 //! shared pre-counted edgeMap claim buffer with its dense bitmaps) *is*

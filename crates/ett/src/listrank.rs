@@ -15,7 +15,7 @@
 
 use fastbcc_primitives::par::par_for;
 use fastbcc_primitives::rng::hash64_pair;
-use fastbcc_primitives::slice::{reuse_uninit, UnsafeSlice};
+use fastbcc_primitives::slice::{reserve_to, reuse_uninit, UnsafeSlice};
 
 /// Sentinel for "not a sample".
 const NOT_SAMPLE: u32 = u32::MAX;
@@ -39,13 +39,10 @@ impl ListRankScratch {
     }
 
     /// Pre-reserve for lists totalling up to `n` nodes with up to `starts`
-    /// designated start nodes. The random half of the sample set is
-    /// binomial with mean `√n`, so its realized size varies run to run;
-    /// reserving four times the mean (plus slack) pins the per-sample
-    /// tables' capacity, keeping warm repeated solves allocation-free
-    /// rather than growing on an unlucky draw.
+    /// designated start nodes: the per-sample tables to the same
+    /// deterministic bound [`rank_circular_lists_in`] reserves.
     pub fn reserve(&mut self, n: usize, starts: usize) {
-        let k = (starts + 4 * (n as f64).sqrt().ceil() as usize + 64).min(n + starts);
+        let k = sample_bound(n, starts);
         self.sample_of.reserve(n);
         self.is_start.reserve(n);
         self.samples.reserve(k);
@@ -65,6 +62,18 @@ impl ListRankScratch {
             + self.offset.capacity())
             + self.is_start.capacity()
     }
+}
+
+/// Capacity of the per-sample tables for lists totalling `n` nodes with
+/// `starts` start nodes: every start plus four times the expected `√n`
+/// random draws, plus slack. The random draw is binomial and also depends
+/// on which nodes are starts, so its realized size varies from run to run
+/// (the spanning forest, and with it which tour arcs are starts, depends
+/// on the schedule). Sizing to this bound instead of the draw makes the
+/// tables' capacity a function of `(n, starts)` alone, so a warm repeated
+/// solve never grows them on an unlucky draw.
+fn sample_bound(n: usize, starts: usize) -> usize {
+    (starts + 4 * (n as f64).sqrt().ceil() as usize + 64).min(n + starts)
 }
 
 /// Rank the nodes of disjoint circular lists.
@@ -99,6 +108,16 @@ pub fn rank_circular_lists_in(
         return;
     }
     let rank = rank_out;
+    let k_max = sample_bound(n, starts.len());
+    for table in [
+        &mut scratch.samples,
+        &mut scratch.randoms,
+        &mut scratch.seg_len,
+        &mut scratch.next_sample,
+        &mut scratch.offset,
+    ] {
+        reserve_to(table, k_max);
+    }
 
     // --- choose samples: expected √n random nodes + every start ---------
     // sample_id[i] != NOT_SAMPLE marks node i as the sample with that index.
@@ -286,6 +305,31 @@ mod tests {
     fn empty_input() {
         let rank = rank_circular_lists(&[], &[], 0);
         assert!(rank.is_empty());
+    }
+
+    /// Two layouts with the same `n` and number of starts: the second puts
+    /// its start on a node the random draw skips, so it ranks with one
+    /// more sample. The scratch must not grow — its capacity depends on
+    /// `(n, starts)`, not on the draw.
+    #[test]
+    fn scratch_capacity_independent_of_the_draw() {
+        let n = 256u32;
+        let succ = circle_from_order(&(0..n).collect::<Vec<_>>());
+        let draw = |start: u32| {
+            let mut scratch = ListRankScratch::new();
+            rank_circular_lists_in(&succ, &[start], 5, &mut Vec::new(), &mut scratch);
+            scratch.samples.len()
+        };
+        let few = (0..n).min_by_key(|&s| draw(s)).unwrap();
+        let many = (0..n).max_by_key(|&s| draw(s)).unwrap();
+        assert!(draw(few) < draw(many), "every start draws the same samples");
+
+        let (mut rank, mut scratch) = (Vec::new(), ListRankScratch::new());
+        rank_circular_lists_in(&succ, &[few], 5, &mut rank, &mut scratch);
+        let bytes = scratch.heap_bytes();
+        rank_circular_lists_in(&succ, &[many], 5, &mut rank, &mut scratch);
+        assert_eq!(scratch.heap_bytes(), bytes, "scratch grew on a larger draw");
+        assert_eq!(rank, rank_circular_lists(&succ, &[many], 5));
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!   vertex's list without decoding from its start.
 //!
 //! Two `u64` tables of length `n + 1` frame the stream: cumulative
-//! degrees (`arc_offsets`, the [`CsrView`](fastbcc_primitives::CsrView)
+//! degrees (`arc_offsets`, the [`CsrView`]
 //! `arc_start` contract used for arc-balanced block splitting) and byte
 //! offsets into the shared payload. Decoding is streaming and
 //! allocation-free, so warm solves over this backend keep the engine's
@@ -27,9 +27,9 @@
 //!
 //! The difference encoder **relies on the sorted-adjacency invariant** of
 //! [`Graph`] (see [`Graph::has_sorted_adjacency`]): gaps after the block
-//! head must be non-negative to be representable. [`from_graph`]
-//! (CompressedGraph::from_graph) checks this and panics on violation
-//! rather than encode garbage.
+//! head must be non-negative to be representable.
+//! [`from_graph`](CompressedGraph::from_graph) checks this and panics on
+//! violation rather than encode garbage.
 
 use crate::csr::Graph;
 use crate::types::V;

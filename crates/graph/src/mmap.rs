@@ -1,7 +1,7 @@
 //! Zero-copy memory-mapped graph snapshots.
 //!
 //! A validated on-disk binary format (`FBCCMAP1`) holding either backend
-//! of the [`GraphView`](crate::view::GraphView) pair — the flat CSR or
+//! of the [`GraphView`] pair — the flat CSR or
 //! the block-coded [`CompressedGraph`] — laid out so a loader can `mmap`
 //! the file and serve solves *directly from the page cache*: every
 //! section starts 8-byte aligned, tables are little-endian `u64`/`u32`,

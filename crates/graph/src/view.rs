@@ -3,9 +3,11 @@
 //! Every solve/query layer above this crate (edgeMap frontiers, LDD,
 //! connectivity, the BCC engine, the serving rebuilder, the bench
 //! harness) is generic over this trait instead of assuming the in-RAM
-//! `Vec<usize>`/`Vec<V>` CSR of [`Graph`]. Three backends implement it:
+//! `Vec<usize>`/`Vec<V>` CSR of [`Graph`](crate::Graph). Three backends
+//! implement it:
 //!
-//! * [`Graph`] — the flat CSR (offsets + arc slices; zero-cost decode);
+//! * [`Graph`](crate::Graph) — the flat CSR (offsets + arc slices;
+//!   zero-cost decode);
 //! * [`crate::compressed::CompressedGraph`] — varint/delta-encoded
 //!   difference-sorted adjacency in fixed-size blocks (Ligra+/GBBS
 //!   style), decoded per-block inside the hot loops;
@@ -26,7 +28,7 @@
 //! (duplicates allowed — multi-edges). The compressed backend's
 //! difference encoder relies on this to emit non-negative deltas, and
 //! [`has_edge`](GraphView::has_edge) relies on it to stop scanning early;
-//! see [`Graph::has_sorted_adjacency`].
+//! see [`Graph::has_sorted_adjacency`](crate::Graph::has_sorted_adjacency).
 
 use crate::types::V;
 pub use fastbcc_primitives::edgemap::CsrView;

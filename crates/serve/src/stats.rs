@@ -1,7 +1,7 @@
 //! Service observability: lock-free counters every reader and the
 //! rebuilder update in place, snapshotted into a [`StatsReport`] that
-//! serializes in the workspace's `RunRecord` JSON-lines style (no deps,
-//! fixed keys) so the `serve` bench and operators read one format.
+//! serializes as one flat JSON object (no deps, fixed keys), the same
+//! shape as the bench harness's JSON-lines rows.
 
 use fastbcc_core::FALLBACK_REASONS;
 use std::fmt::Write as _;
@@ -142,8 +142,8 @@ impl StatsReport {
         }
     }
 
-    /// Serialize as a single JSON object, `RunRecord`-style: fixed keys,
-    /// no external dependencies.
+    /// Serialize as a single flat JSON object: fixed keys, no external
+    /// dependencies.
     pub fn to_json(&self) -> String {
         let mut fallbacks = String::new();
         for (reason, count) in FALLBACK_REASONS.iter().zip(self.fallbacks) {

@@ -1,7 +1,7 @@
 //! Hermetic in-repo stand-in for the `loom` concurrency model checker.
 //!
 //! The FAST-BCC workspace builds with no network access, so — like the
-//! `rayon` / `proptest` / `criterion` shims — this crate implements, from
+//! `rayon` / `proptest` shims — this crate implements, from
 //! scratch on `std`, the loom surface the workspace needs to *prove* its
 //! hand-rolled synchronization instead of stress-sampling it:
 //!
