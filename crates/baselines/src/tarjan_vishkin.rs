@@ -26,9 +26,10 @@ use fastbcc_core::tags::compute_tags;
 use fastbcc_ett::root_forest;
 use fastbcc_graph::{Graph, NONE, V};
 use fastbcc_primitives::pack::pack_index_usize;
-use fastbcc_primitives::par::par_for;
+use fastbcc_primitives::par::{
+    block_bounds, num_blocks, par_blocks_collect, par_for, DEFAULT_GRAIN,
+};
 use fastbcc_primitives::slice::{uninit_vec, UnsafeSlice};
-use rayon::prelude::*;
 use std::time::{Duration, Instant};
 
 /// Tarjan–Vishkin result.
@@ -149,9 +150,10 @@ pub fn tarjan_vishkin(g: &Graph, seed: u64) -> TvResult {
     }
 
     // --- build E' (the explicit skeleton) --------------------------------
-    let skeleton: Vec<(u32, u32)> = (0..g.m())
-        .into_par_iter()
-        .fold(Vec::new, |mut acc: Vec<(u32, u32)>, a| {
+    let arc_bounds = block_bounds(g.m(), num_blocks(g.m(), DEFAULT_GRAIN));
+    let skeleton: Vec<(u32, u32)> = par_blocks_collect(&arc_bounds, |_, arcs_in_block| {
+        let mut acc = Vec::new();
+        for a in arcs_in_block {
             let u = src[a];
             let v = arcs[a];
             let (ui, vi) = (u as usize, v as usize);
@@ -177,16 +179,15 @@ pub fn tarjan_vishkin(g: &Graph, seed: u64) -> TvResult {
                     acc.push((tree_eid[ui], tree_eid[vi]));
                 }
             }
-            acc
-        })
-        .reduce(Vec::new, |mut x, mut y| {
-            x.append(&mut y);
-            x
-        });
+        }
+        acc
+    })
+    .concat();
 
     // --- CC over the edge-vertices ----------------------------------------
     let uf = ConcurrentUnionFind::new(m_edges);
-    skeleton.par_iter().for_each(|&(e1, e2)| {
+    par_for(skeleton.len(), |i| {
+        let (e1, e2) = skeleton[i];
         uf.unite(e1, e2);
     });
     let edge_labels = uf.labels();

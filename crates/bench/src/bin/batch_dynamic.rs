@@ -18,9 +18,12 @@
 //! Reported per row: mean per-round seconds for both paths, the speedup,
 //! update throughput in edges/s (batch edges over incremental seconds),
 //! how many rounds stayed incremental vs fell back (with the last
-//! fallback reason), and the maximum warm `fresh_alloc_bytes` over
-//! incremental rounds — which the `bench-smoke` CI gate requires to be 0
-//! (the incremental path must run entirely out of pooled memory).
+//! fallback reason), the row's totals of the `ApplyReport` mechanism
+//! counters (`dels_*`, `adds_*`, and `rounds_rehang`, the rounds that
+//! ended with a parent re-hang), and the maximum warm
+//! `fresh_alloc_bytes` over incremental rounds — which the `bench-smoke`
+//! CI gate requires to be 0 (the incremental path must run entirely out
+//! of pooled memory).
 //! Fallback rounds are *kept* in the incremental column: the speedup is
 //! what an operator gets, not what the best case gets.
 
@@ -28,7 +31,7 @@ use fastbcc_bench::churn::perturbed_sequence;
 use fastbcc_bench::measure::{fmt_secs, geomean, write_json_lines, Args, Record};
 use fastbcc_bench::runner::RunOpts;
 use fastbcc_bench::suite::filter_suite;
-use fastbcc_core::{canonical_bccs, BccEngine, BccOpts};
+use fastbcc_core::{canonical_bccs, ApplyReport, BccEngine, BccOpts};
 use fastbcc_primitives::with_threads;
 use std::time::{Duration, Instant};
 
@@ -90,6 +93,10 @@ fn main() {
                 let mut last_fallback = None;
                 let mut warm_fresh_max = 0usize;
                 let mut equal = true;
+                // Mechanism totals over the row's rounds: which path each
+                // deletion and insertion took, and how many rounds re-hung.
+                let mut mech = ApplyReport::default();
+                let mut rounds_rehang = 0usize;
 
                 for (round, (delta, g_round)) in schedule.iter().enumerate() {
                     batch_edges += delta.len();
@@ -99,12 +106,15 @@ fn main() {
                     inc_total += t.elapsed();
                     let (inc_cc, inc_bcc) = (inc.result().num_cc, inc.result().num_bcc);
                     let rep = inc.last_apply_report().expect("apply_batch ran");
-                    if std::env::var_os("BD_DEBUG").is_some() {
-                        eprintln!(
-                            "[round {round}] fresh={} {rep:?}",
-                            inc.result().fresh_alloc_bytes
-                        );
-                    }
+                    mech.dels_bridge += rep.dels_bridge;
+                    mech.dels_cert_pass += rep.dels_cert_pass;
+                    mech.dels_sub_solve += rep.dels_sub_solve;
+                    mech.dels_skipped += rep.dels_skipped;
+                    mech.adds_noop += rep.adds_noop;
+                    mech.adds_merged += rep.adds_merged;
+                    mech.adds_linked += rep.adds_linked;
+                    mech.adds_rerooted += rep.adds_rerooted;
+                    rounds_rehang += usize::from(rep.rehang);
                     if rep.incremental {
                         rounds_incremental += 1;
                     } else {
@@ -162,6 +172,15 @@ fn main() {
                     .int("rounds_incremental", rounds_incremental)
                     .int("rounds_fallback", rounds_fallback)
                     .str("last_fallback", last_fallback)
+                    .int("dels_bridge", mech.dels_bridge)
+                    .int("dels_cert_pass", mech.dels_cert_pass)
+                    .int("dels_sub_solve", mech.dels_sub_solve)
+                    .int("dels_skipped", mech.dels_skipped)
+                    .int("adds_noop", mech.adds_noop)
+                    .int("adds_merged", mech.adds_merged)
+                    .int("adds_linked", mech.adds_linked)
+                    .int("adds_rerooted", mech.adds_rerooted)
+                    .int("rounds_rehang", rounds_rehang)
                     .int("warm_fresh_alloc_bytes_max", warm_fresh_max)
                     .flag("equal", equal)
             });

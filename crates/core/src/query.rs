@@ -385,7 +385,7 @@ impl BccIndex {
     /// the result representation's three-comparison trick: any two
     /// co-members of a BCC either share the label or one is the head of
     /// the other's class.
-    #[inline]
+    #[inline(always)]
     fn common_block(&self, u: V, v: V) -> Option<u32> {
         let lu = self.labels[u as usize];
         let lv = self.labels[v as usize];
@@ -463,6 +463,10 @@ impl BccIndex {
 
     /// Answer one query (the sequential path of
     /// [`answer_batch`](Self::answer_batch)).
+    // Inlined, with `common_block`, into the batch loop: out of line
+    // (which codegen-unit placement alone can decide) the batch serves
+    // 10–30% fewer queries per second.
+    #[inline]
     pub fn answer(&self, q: Query) -> QueryAnswer {
         match q {
             Query::SameBcc(u, v) => QueryAnswer::Bool(self.same_bcc(u, v)),

@@ -9,7 +9,7 @@ use super::points::PointGrid;
 use crate::builder::build_symmetric;
 use crate::csr::Graph;
 use crate::types::{EdgeList, V};
-use rayon::prelude::*;
+use fastbcc_primitives::par::{block_bounds, num_blocks, par_blocks_collect, DEFAULT_GRAIN};
 
 /// Random geometric graph: `n` uniform points, edge iff distance ≤ `radius`.
 pub fn random_geometric(n: usize, radius: f64, seed: u64) -> Graph {
@@ -35,9 +35,11 @@ pub fn random_geometric(n: usize, radius: f64, seed: u64) -> Graph {
     let pg = PointGrid::from_points(xs, ys, dim);
     let r2 = radius * radius;
 
-    let edges: Vec<(V, V)> = (0..n)
-        .into_par_iter()
-        .fold(Vec::new, |mut acc: Vec<(V, V)>, i| {
+    // Per-block edge lists, concatenated in block order.
+    let bounds = block_bounds(n, num_blocks(n, DEFAULT_GRAIN));
+    let edges: Vec<(V, V)> = par_blocks_collect(&bounds, |_, block| {
+        let mut acc = Vec::new();
+        for i in block {
             let (cx, cy) = pg.cell_xy(i);
             for r in 0..=1usize {
                 pg.for_ring(cx, cy, r, |j| {
@@ -47,12 +49,10 @@ pub fn random_geometric(n: usize, radius: f64, seed: u64) -> Graph {
                     }
                 });
             }
-            acc
-        })
-        .reduce(Vec::new, |mut a, mut b| {
-            a.append(&mut b);
-            a
-        });
+        }
+        acc
+    })
+    .concat();
     build_symmetric(&EdgeList { n, edges })
 }
 

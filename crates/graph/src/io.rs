@@ -1,122 +1,16 @@
-//! Graph serialization: a compact binary format for caching generated
-//! benchmark inputs, plus the PBBS-style text adjacency format for
-//! interoperability with the paper's C++ artifacts.
+//! Graph serialization in the PBBS-style text adjacency format, for
+//! interoperability with the paper's C++ artifacts. The binary on-disk
+//! format is the mmap snapshot (`crate::mmap`).
 
 use crate::csr::Graph;
 use crate::types::V;
 use std::fs::File;
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
-
-const MAGIC: &[u8; 8] = b"FBCCGRv1";
-
-/// Write `g` in the binary format (magic, n, m, offsets as u64, arcs as u32).
-pub fn save_binary(g: &Graph, path: &Path) -> io::Result<()> {
-    let mut w = BufWriter::new(File::create(path)?);
-    w.write_all(MAGIC)?;
-    w.write_all(&(g.n() as u64).to_le_bytes())?;
-    w.write_all(&(g.m() as u64).to_le_bytes())?;
-    for &o in g.offsets() {
-        w.write_all(&(o as u64).to_le_bytes())?;
-    }
-    for &a in g.arcs() {
-        w.write_all(&a.to_le_bytes())?;
-    }
-    w.flush()
-}
 
 /// `InvalidData` error with a formatted message.
 fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
-
-/// Read a graph written by [`save_binary`].
-///
-/// The header and payload are **fully validated** — the loader treats the
-/// file as untrusted input. A header whose `n`/`m` does not match the file
-/// length (so an attacker-sized count can never drive a huge
-/// pre-reservation), a size computation that would overflow, non-monotone
-/// offsets, offsets not ending at `m`, or an arc id `>= n` all return
-/// [`io::ErrorKind::InvalidData`] instead of aborting on allocation
-/// failure or panicking inside [`Graph::from_raw_parts`].
-pub fn load_binary(path: &Path) -> io::Result<Graph> {
-    let file = File::open(path)?;
-    let file_len = file.metadata()?.len();
-    let mut r = BufReader::new(file);
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(bad("bad magic"));
-    }
-    let n64 = read_u64(&mut r)?;
-    let m64 = read_u64(&mut r)?;
-    // Vertex ids are u32 with u32::MAX reserved as NONE.
-    if n64 >= u32::MAX as u64 {
-        return Err(bad(format!("vertex count {n64} exceeds the u32 id space")));
-    }
-    // The payload sizes implied by the header must match the actual file
-    // length exactly: this both detects truncation/corruption and caps
-    // every allocation below by what the file really holds.
-    let offsets_bytes = (n64 + 1)
-        .checked_mul(8)
-        .ok_or_else(|| bad("offset table size overflows"))?;
-    let arcs_bytes = m64
-        .checked_mul(4)
-        .ok_or_else(|| bad("arc table size overflows"))?;
-    let want_len = offsets_bytes
-        .checked_add(arcs_bytes)
-        .and_then(|b| b.checked_add(24)) // magic + n + m
-        .ok_or_else(|| bad("header sizes overflow"))?;
-    if want_len != file_len {
-        return Err(bad(format!(
-            "file length {file_len} does not match header (n={n64}, m={m64} need {want_len})"
-        )));
-    }
-    // Everything below is validated in u64 *before* any usize cast, so a
-    // 32-bit host truncating a 2^32+k value can never smuggle it past the
-    // checks (the casts are then bounded by m64, itself bounded here).
-    if m64 > usize::MAX as u64 / 4 {
-        return Err(bad(format!("arc count {m64} exceeds the address space")));
-    }
-    let (n, m) = (n64 as usize, m64 as usize);
-
-    let mut offsets = Vec::with_capacity(n + 1);
-    let mut prev = 0u64;
-    for i in 0..=n {
-        let o = read_u64(&mut r)?;
-        if i == 0 && o != 0 {
-            return Err(bad(format!("first offset is {o}, expected 0")));
-        }
-        if o < prev {
-            return Err(bad(format!("offset {o} at index {i} decreases (< {prev})")));
-        }
-        if o > m64 {
-            return Err(bad(format!("offset {o} at index {i} exceeds m = {m64}")));
-        }
-        prev = o;
-        offsets.push(o as usize);
-    }
-    if prev != m64 {
-        return Err(bad(format!("last offset {prev} != m = {m64}")));
-    }
-
-    let mut arcs = vec![0 as V; m];
-    let mut buf = vec![0u8; m * 4];
-    r.read_exact(&mut buf)?;
-    for (i, c) in buf.chunks_exact(4).enumerate() {
-        let a = u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
-        if a as u64 >= n64 {
-            return Err(bad(format!("arc {a} at index {i} out of range (n = {n})")));
-        }
-        arcs[i] = a;
-    }
-    Ok(Graph::from_raw_parts(offsets, arcs))
-}
-
-fn read_u64<R: Read>(r: &mut R) -> io::Result<u64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
 }
 
 /// Write the PBBS "AdjacencyGraph" text format used by the paper's suite.
@@ -136,10 +30,11 @@ pub fn save_adjacency_text(g: &Graph, path: &Path) -> io::Result<()> {
 
 /// Read the PBBS "AdjacencyGraph" text format.
 ///
-/// Validated like [`load_binary`]: counts/offsets/arcs are parsed as full
-/// `u64` values (no silent `as u32` wrap for ids ≥ 2³²), offsets must be
-/// nondecreasing and bounded by `m`, arcs must be `< n` — violations
-/// return [`io::ErrorKind::InvalidData`] naming the offending value.
+/// The file is treated as untrusted input: counts/offsets/arcs are parsed
+/// as full `u64` values (no silent `as u32` wrap for ids ≥ 2³²), offsets
+/// must be nondecreasing and bounded by `m`, arcs must be `< n` —
+/// violations return [`io::ErrorKind::InvalidData`] naming the offending
+/// value instead of panicking inside [`Graph::from_raw_parts`].
 pub fn load_adjacency_text(path: &Path) -> io::Result<Graph> {
     let r = BufReader::new(File::open(path)?);
     let mut lines = r.lines();
@@ -210,16 +105,6 @@ mod tests {
     }
 
     #[test]
-    fn binary_roundtrip() {
-        let g = windmill(13);
-        let p = tmp("bin");
-        save_binary(&g, &p).unwrap();
-        let h = load_binary(&p).unwrap();
-        assert_eq!(g, h);
-        std::fs::remove_file(&p).ok();
-    }
-
-    #[test]
     fn text_roundtrip() {
         let g = barbell(4, 3);
         let p = tmp("txt");
@@ -233,16 +118,16 @@ mod tests {
     fn empty_graph_roundtrip() {
         let g = Graph::empty(4);
         let p = tmp("empty");
-        save_binary(&g, &p).unwrap();
-        assert_eq!(load_binary(&p).unwrap(), g);
+        save_adjacency_text(&g, &p).unwrap();
+        assert_eq!(load_adjacency_text(&p).unwrap(), g);
         std::fs::remove_file(&p).ok();
     }
 
     #[test]
-    fn bad_magic_rejected() {
+    fn bad_header_rejected() {
         let p = tmp("junk");
         std::fs::write(&p, b"NOTAGRAPH-file").unwrap();
-        assert!(load_binary(&p).is_err());
+        assert!(load_adjacency_text(&p).is_err());
         std::fs::remove_file(&p).ok();
     }
 }

@@ -28,7 +28,7 @@
 //! ## Validation
 //!
 //! [`load_snapshot`] treats the file as **untrusted input**, to the same
-//! standard as [`crate::io::load_binary`]: magic/version/backend checks,
+//! standard as [`crate::io::load_adjacency_text`]: magic/version/backend checks,
 //! exact file-length match against checked-arithmetic section sizes
 //! before anything is touched, id-space bounds, offset monotonicity with
 //! the right endpoints, arc ids `< n`, and — for the compressed backend —

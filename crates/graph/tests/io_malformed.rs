@@ -1,11 +1,11 @@
 //! Regression tests: malformed graph files must come back as
 //! `Err(InvalidData)` — never a panic, never an abort from an
 //! attacker-sized pre-reservation, never a silently corrupt `Graph`.
-//! Covers the adjacency-text and binary CSR formats and the mmap
-//! snapshot format (`FBCCMAP1`, both backends).
+//! Covers the adjacency-text format and the mmap snapshot format
+//! (`FBCCMAP1`, both backends).
 
 use fastbcc_graph::generators::classic::{barbell, cycle, windmill};
-use fastbcc_graph::io::{load_adjacency_text, load_binary, save_adjacency_text, save_binary};
+use fastbcc_graph::io::{load_adjacency_text, save_adjacency_text};
 use fastbcc_graph::{load_snapshot, save_snapshot, save_snapshot_compressed, CompressedGraph};
 use std::io::ErrorKind;
 use std::path::PathBuf;
@@ -30,21 +30,6 @@ impl Drop for TmpFile {
     }
 }
 
-/// A syntactically valid binary file for the given header and payload.
-fn binary_file(n: u64, m: u64, offsets: &[u64], arcs: &[u32]) -> Vec<u8> {
-    let mut b = Vec::new();
-    b.extend_from_slice(b"FBCCGRv1");
-    b.extend_from_slice(&n.to_le_bytes());
-    b.extend_from_slice(&m.to_le_bytes());
-    for &o in offsets {
-        b.extend_from_slice(&o.to_le_bytes());
-    }
-    for &a in arcs {
-        b.extend_from_slice(&a.to_le_bytes());
-    }
-    b
-}
-
 fn assert_invalid(res: std::io::Result<fastbcc_graph::Graph>, what: &str) {
     match res {
         Ok(_) => panic!("{what}: loaded successfully"),
@@ -54,69 +39,6 @@ fn assert_invalid(res: std::io::Result<fastbcc_graph::Graph>, what: &str) {
             "{what}: wrong error kind ({e})"
         ),
     }
-}
-
-// --- binary format ---------------------------------------------------------
-
-#[test]
-fn binary_attacker_sized_vertex_count_is_rejected() {
-    // n = u64::MAX would previously drive a Vec::with_capacity(n + 1)
-    // abort; the length check must reject it before any allocation.
-    let f = TmpFile::write("huge_n", &binary_file(u64::MAX - 1, 0, &[], &[]));
-    assert_invalid(load_binary(&f.0), "huge n");
-    // Same for an n whose offset table would overflow the length math.
-    let f = TmpFile::write("ovf_n", &binary_file(u64::MAX / 8, 0, &[], &[]));
-    assert_invalid(load_binary(&f.0), "overflowing offset table");
-}
-
-#[test]
-fn binary_arc_count_overflow_is_rejected() {
-    // m * 4 overflows u64: must error, not wrap to a tiny allocation.
-    let f = TmpFile::write("ovf_m", &binary_file(2, u64::MAX / 2, &[0, 0, 0], &[]));
-    assert_invalid(load_binary(&f.0), "overflowing arc table");
-}
-
-#[test]
-fn binary_truncated_and_oversized_files_are_rejected() {
-    let good = binary_file(2, 2, &[0, 1, 2], &[1, 0]);
-    let f = TmpFile::write("trunc", &good[..good.len() - 3]);
-    assert_invalid(load_binary(&f.0), "truncated file");
-    let mut padded = good.clone();
-    padded.extend_from_slice(b"junk");
-    let f = TmpFile::write("padded", &padded);
-    assert_invalid(load_binary(&f.0), "trailing garbage");
-}
-
-#[test]
-fn binary_bad_offsets_are_rejected() {
-    // Non-monotone (decreasing) offsets.
-    let f = TmpFile::write("decrease", &binary_file(2, 2, &[0, 2, 1], &[1, 0]));
-    assert_invalid(load_binary(&f.0), "decreasing offsets");
-    // Offset beyond m.
-    let f = TmpFile::write("beyond", &binary_file(2, 2, &[0, 3, 2], &[1, 0]));
-    assert_invalid(load_binary(&f.0), "offset beyond m");
-    // Last offset != m.
-    let f = TmpFile::write("lastoff", &binary_file(2, 2, &[0, 1, 1], &[1, 0]));
-    assert_invalid(load_binary(&f.0), "last offset != m");
-    // First offset != 0.
-    let f = TmpFile::write("firstoff", &binary_file(2, 2, &[1, 2, 2], &[1, 0]));
-    assert_invalid(load_binary(&f.0), "first offset != 0");
-}
-
-#[test]
-fn binary_out_of_range_arc_is_rejected() {
-    let f = TmpFile::write("bigarc", &binary_file(2, 2, &[0, 1, 2], &[1, 7]));
-    assert_invalid(load_binary(&f.0), "arc >= n");
-}
-
-#[test]
-fn binary_roundtrip_still_works_after_hardening() {
-    let g = barbell(5, 3);
-    let mut p = std::env::temp_dir();
-    p.push(format!("fastbcc_io_malformed_rt_{}", std::process::id()));
-    save_binary(&g, &p).unwrap();
-    assert_eq!(load_binary(&p).unwrap(), g);
-    std::fs::remove_file(&p).ok();
 }
 
 // --- text format -----------------------------------------------------------

@@ -63,15 +63,15 @@ proptest! {
     }
 
     #[test]
-    fn binary_io_roundtrip((n, edges) in arb_edges(40, 100)) {
+    fn text_io_roundtrip((n, edges) in arb_edges(40, 100)) {
         let g = from_edges(n, &edges);
         let path = std::env::temp_dir().join(format!(
-            "fastbcc_prop_io_{}_{}.bin",
+            "fastbcc_prop_io_{}_{}.txt",
             std::process::id(),
             g.m()
         ));
-        io::save_binary(&g, &path).unwrap();
-        let h = io::load_binary(&path).unwrap();
+        io::save_adjacency_text(&g, &path).unwrap();
+        let h = io::load_adjacency_text(&path).unwrap();
         std::fs::remove_file(&path).ok();
         prop_assert_eq!(g, h);
     }

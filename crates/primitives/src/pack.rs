@@ -7,10 +7,20 @@
 //! Used throughout the repo for frontier compaction, edge filtering, and
 //! extracting fence edges / articulation points.
 
-use crate::par::{block_bounds, num_blocks, DEFAULT_GRAIN};
+use crate::par::{block_bounds, num_blocks, par_blocks_collect, par_blocks_mut, DEFAULT_GRAIN};
 use crate::scan::prefix_sums;
-use crate::slice::{uninit_vec, UnsafeSlice};
-use rayon::prelude::*;
+use std::ops::Range;
+
+/// Output ranges of a blocked pack: with `count(r)` survivors in input
+/// block `r`, returns `offsets` of length `blocks + 1` such that block `b`
+/// owns output slots `offsets[b]..offsets[b + 1]` (`offsets[blocks]` is
+/// the total).
+fn block_offsets(bounds: &[usize], count: impl Fn(Range<usize>) -> usize + Sync) -> Vec<usize> {
+    let mut offsets = par_blocks_collect(bounds, |_, r| count(r));
+    offsets.push(0);
+    prefix_sums(&mut offsets);
+    offsets
+}
 
 /// Pack `f(i)` for every `i` in `0..n` with `keep(i)`, preserving index order.
 ///
@@ -24,37 +34,8 @@ where
     K: Fn(usize) -> bool + Sync,
     F: Fn(usize) -> T + Sync,
 {
-    if n == 0 {
-        return Vec::new();
-    }
-    let blocks = num_blocks(n, DEFAULT_GRAIN);
-    let bounds = block_bounds(n, blocks);
-
-    // Count survivors per block.
-    let mut offsets: Vec<usize> = bounds
-        .par_windows(2)
-        .map(|w| (w[0]..w[1]).filter(|&i| keep(i)).count())
-        .collect();
-    let total = prefix_sums(&mut offsets);
-
-    // Scatter.
-    // SAFETY: the per-block scatter below covers exactly `0..total` (the
-    // scanned survivor counts), so every index is written before use.
-    let mut out: Vec<T> = unsafe { uninit_vec(total) };
-    {
-        let view = UnsafeSlice::new(&mut out);
-        bounds.par_windows(2).enumerate().for_each(|(b, w)| {
-            let mut pos = offsets[b];
-            for i in w[0]..w[1] {
-                if keep(i) {
-                    // SAFETY: each output slot is written by exactly one
-                    // block at exactly one position (disjoint by the scan).
-                    unsafe { view.write(pos, f(i)) };
-                    pos += 1;
-                }
-            }
-        });
-    }
+    let mut out = Vec::new();
+    pack_map_extend(n, keep, f, &mut out);
     out
 }
 
@@ -67,29 +48,7 @@ where
     F: Fn(usize) -> T + Sync,
 {
     out.clear();
-    if n == 0 {
-        return;
-    }
-    let blocks = num_blocks(n, DEFAULT_GRAIN);
-    let bounds = block_bounds(n, blocks);
-    let mut offsets: Vec<usize> = bounds
-        .par_windows(2)
-        .map(|w| (w[0]..w[1]).filter(|&i| keep(i)).count())
-        .collect();
-    let total = prefix_sums(&mut offsets);
-    // SAFETY: every slot in 0..total is written exactly once below.
-    unsafe { crate::slice::reuse_uninit(out, total) };
-    let view = UnsafeSlice::new(out.as_mut_slice());
-    bounds.par_windows(2).enumerate().for_each(|(b, w)| {
-        let mut pos = offsets[b];
-        for i in w[0]..w[1] {
-            if keep(i) {
-                // SAFETY: disjoint slots by the scan (see pack_map).
-                unsafe { view.write(pos, f(i)) };
-                pos += 1;
-            }
-        }
-    });
+    pack_map_extend(n, keep, f, out);
 }
 
 /// [`pack_map`] *appending* the survivors to `out` (existing contents are
@@ -105,24 +64,17 @@ where
     if n == 0 {
         return;
     }
-    let blocks = num_blocks(n, DEFAULT_GRAIN);
-    let bounds = block_bounds(n, blocks);
-    let mut offsets: Vec<usize> = bounds
-        .par_windows(2)
-        .map(|w| (w[0]..w[1]).filter(|&i| keep(i)).count())
-        .collect();
-    let total = prefix_sums(&mut offsets);
+    let bounds = block_bounds(n, num_blocks(n, DEFAULT_GRAIN));
+    let offsets = block_offsets(&bounds, |r| r.filter(|&i| keep(i)).count());
     let base = out.len();
-    // SAFETY: every appended slot in base..base+total is written exactly
-    // once by the scatter below.
-    unsafe { crate::slice::extend_uninit(out, total) };
-    let view = UnsafeSlice::new(&mut out[base..]);
-    bounds.par_windows(2).enumerate().for_each(|(b, w)| {
-        let mut pos = offsets[b];
-        for i in w[0]..w[1] {
+    // SAFETY: the scatter below writes every appended slot exactly once:
+    // block `b` fills `offsets[b]..offsets[b + 1]` of the appended tail.
+    unsafe { crate::slice::extend_uninit(out, offsets[offsets.len() - 1]) };
+    par_blocks_mut(&mut out[base..], &offsets, |b, dst| {
+        let mut pos = 0;
+        for i in bounds[b]..bounds[b + 1] {
             if keep(i) {
-                // SAFETY: disjoint slots by the scan (see pack_map).
-                unsafe { view.write(pos, f(i)) };
+                dst[pos] = f(i);
                 pos += 1;
             }
         }
@@ -161,26 +113,13 @@ pub fn pack_neq_into(src: &[u32], sentinel: u32, out: &mut Vec<u32>) {
         return;
     }
     let bounds = block_bounds(n, blocks);
-    let mut offsets: Vec<usize> = bounds
-        .par_windows(2)
-        .map(|w| count_neq_u32(&src[w[0]..w[1]], sentinel))
-        .collect();
-    let total = prefix_sums(&mut offsets);
+    let offsets = block_offsets(&bounds, |r| count_neq_u32(&src[r], sentinel));
     // SAFETY: the per-block compactions below write the disjoint ranges
-    // `offsets[b]..offsets[b+1]`, which tile `0..total` exactly.
-    unsafe { crate::slice::reuse_uninit(out, total) };
-    let view = UnsafeSlice::new(out.as_mut_slice());
-    bounds.par_windows(2).enumerate().for_each(|(b, w)| {
-        let start = offsets[b];
-        let end = if b + 1 < offsets.len() {
-            offsets[b + 1]
-        } else {
-            total
-        };
-        // SAFETY: disjoint ranges by the scan; see above.
-        let dst = unsafe { view.slice_mut(start, end - start) };
-        let kept = compact_neq_u32(&src[w[0]..w[1]], sentinel, dst);
-        debug_assert_eq!(kept, end - start);
+    // `offsets[b]..offsets[b+1]`, which tile `0..offsets[blocks]` exactly.
+    unsafe { crate::slice::reuse_uninit(out, offsets[blocks]) };
+    par_blocks_mut(out, &offsets, |b, dst| {
+        let kept = compact_neq_u32(&src[bounds[b]..bounds[b + 1]], sentinel, dst);
+        debug_assert_eq!(kept, dst.len());
     });
 }
 
@@ -213,26 +152,14 @@ pub fn pack_bits_into(words: &[u64], n: usize, out: &mut Vec<u32>) {
         return;
     }
     let bounds = block_bounds(nw, blocks);
-    let mut offsets: Vec<usize> = bounds
-        .par_windows(2)
-        .map(|w| popcount_words(&words[w[0]..w[1]]))
-        .collect();
-    let total = prefix_sums(&mut offsets);
+    let offsets = block_offsets(&bounds, |r| popcount_words(&words[r]));
     // SAFETY: per-block extractions write the disjoint ranges
-    // `offsets[b]..offsets[b+1]`, tiling `0..total`.
-    unsafe { crate::slice::reuse_uninit(out, total) };
-    let view = UnsafeSlice::new(out.as_mut_slice());
-    bounds.par_windows(2).enumerate().for_each(|(b, w)| {
-        let start = offsets[b];
-        let end = if b + 1 < offsets.len() {
-            offsets[b + 1]
-        } else {
-            total
-        };
-        // SAFETY: disjoint ranges by the scan; see above.
-        let dst = unsafe { view.slice_mut(start, end - start) };
-        let wrote = expand_bits_u32(&words[w[0]..w[1]], (w[0] * 64) as u32, dst);
-        debug_assert_eq!(wrote, end - start);
+    // `offsets[b]..offsets[b+1]`, tiling `0..offsets[blocks]`.
+    unsafe { crate::slice::reuse_uninit(out, offsets[blocks]) };
+    par_blocks_mut(out, &offsets, |b, dst| {
+        let (lo, hi) = (bounds[b], bounds[b + 1]);
+        let wrote = expand_bits_u32(&words[lo..hi], (lo * 64) as u32, dst);
+        debug_assert_eq!(wrote, dst.len());
     });
 }
 

@@ -2,14 +2,24 @@
 //!
 //! The paper's cost model is binary fork–join with randomized work stealing
 //! (Blumofe–Leiserson). Rayon implements that model; these helpers add the
-//! two things our algorithm code needs on top:
+//! three things our algorithm code needs on top:
 //!
 //! 1. **grain-size control** — the analyses assume `O(1)` leaf bodies, and a
 //!    practical implementation needs coarsened leaves ([`par_for_grain`]);
-//! 2. **scoped thread pools** — the scalability experiments (Fig. 4) measure
+//! 2. **blocked loops** — the count–scan–scatter primitives run one piece
+//!    per block of a boundary array ([`par_blocks`], [`par_blocks_mut`],
+//!    [`par_blocks_collect`]), on top of [`par_for_grain`];
+//! 3. **scoped thread pools** — the scalability experiments (Fig. 4) measure
 //!    the same code under different worker counts ([`with_threads`]).
+//!
+//! [`par_for_grain`] is the workspace's one parallel loop; the only other
+//! entry into the runtime is `rayon::join`, for fork–join recursion such
+//! as [`crate::reduce`].
 
+use crate::slice::UnsafeSlice;
 use rayon::prelude::*;
+use std::mem::MaybeUninit;
+use std::ops::Range;
 
 /// Default grain size for parallel loops over cheap bodies.
 ///
@@ -110,6 +120,56 @@ pub fn par_for_grain(n: usize, grain: usize, f: impl Fn(usize) + Sync + Send) {
     });
 }
 
+/// Run `f(b, bounds[b]..bounds[b + 1])` for every block `b` of a
+/// boundary array (`bounds.len() - 1` blocks, as from [`block_bounds`]),
+/// one parallel piece per block.
+pub fn par_blocks(bounds: &[usize], f: impl Fn(usize, Range<usize>) + Sync + Send) {
+    par_for_grain(bounds.len().saturating_sub(1), 1, |b| {
+        f(b, bounds[b]..bounds[b + 1])
+    });
+}
+
+/// [`par_blocks`] over the blocks of `a`: `f(b, &mut a[bounds[b]..bounds[b + 1]])`.
+/// `bounds` must be nondecreasing and end at most at `a.len()`.
+pub fn par_blocks_mut<T: Send + Sync>(
+    a: &mut [T],
+    bounds: &[usize],
+    f: impl Fn(usize, &mut [T]) + Sync + Send,
+) {
+    assert!(bounds.windows(2).all(|w| w[0] <= w[1]));
+    assert!(bounds.last().is_none_or(|&hi| hi <= a.len()));
+    let view = UnsafeSlice::new(a);
+    par_blocks(bounds, |b, r| {
+        // SAFETY: nondecreasing in-bounds boundaries (asserted above) make
+        // the block ranges pairwise disjoint, and block `b` runs once.
+        f(b, unsafe { view.slice_mut(r.start, r.len()) })
+    });
+}
+
+/// One value per block of `bounds`, in block order: `[f(0, ..), f(1, ..), ...]`
+/// computed as in [`par_blocks`]. Allocates only the returned vector,
+/// with room for one more element so a per-block count table can append
+/// its total (becoming a boundary array) without reallocating.
+pub fn par_blocks_collect<T: Send + Sync>(
+    bounds: &[usize],
+    f: impl Fn(usize, Range<usize>) -> T + Sync + Send,
+) -> Vec<T> {
+    let blocks = bounds.len().saturating_sub(1);
+    let mut out = Vec::with_capacity(blocks + 1);
+    {
+        let view = UnsafeSlice::new(&mut out.spare_capacity_mut()[..blocks]);
+        par_blocks(bounds, |b, r| {
+            // SAFETY: block `b` alone writes slot `b`, exactly once.
+            unsafe { view.write(b, MaybeUninit::new(f(b, r))) }
+        });
+    }
+    // SAFETY: `par_blocks` returned, so every slot in `0..blocks` was
+    // initialized above (a panicking block unwinds before this point and
+    // leaks the written values instead).
+    unsafe { out.set_len(blocks) };
+    out
+}
+
 /// Number of blocks used by block-based primitives (scan, pack, histogram).
 ///
 /// We want enough blocks for load balance (at most 4× the worker count)
@@ -182,6 +242,45 @@ mod tests {
                 assert_eq!(*b.last().unwrap(), n);
                 assert!(b.windows(2).all(|w| w[0] <= w[1]));
             }
+        }
+    }
+
+    /// Per-block results come back in block order at every budget.
+    #[test]
+    fn collect_is_identical_across_thread_counts() {
+        let hash =
+            |r: Range<usize>| r.fold(0u64, |h, i| h ^ (i as u64).wrapping_mul(2_654_435_761));
+        let bounds = block_bounds(40_000, 16);
+        let reference: Vec<u64> = bounds.windows(2).map(|w| hash(w[0]..w[1])).collect();
+        for k in [1usize, 2, 4] {
+            let got = with_threads(k, || par_blocks_collect(&bounds, |_, r| hash(r)));
+            assert_eq!(got, reference, "collect diverged at {k} threads");
+        }
+    }
+
+    #[test]
+    fn single_thread_pool_runs_inline() {
+        let caller = std::thread::current().id();
+        let bounds = block_bounds(100, 8);
+        let got = with_threads(1, || {
+            par_blocks_collect(&bounds, |b, r| {
+                assert_eq!(std::thread::current().id(), caller);
+                (b, r.start, r.end)
+            })
+        });
+        let want: Vec<_> = (0..8).map(|b| (b, bounds[b], bounds[b + 1])).collect();
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn par_blocks_mut_hands_each_block_its_slice() {
+        let bounds = [0, 3, 3, 7, 10];
+        for k in [1usize, 2, 4] {
+            let mut v = vec![0usize; 10];
+            with_threads(k, || {
+                par_blocks_mut(&mut v, &bounds, |b, blk| blk.fill(b));
+            });
+            assert_eq!(v, [0, 0, 0, 2, 2, 2, 2, 3, 3, 3], "threads={k}");
         }
     }
 

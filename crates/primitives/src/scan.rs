@@ -11,8 +11,7 @@
 //! `O(log n)` span bound of the recursive algorithm for all practical `n`
 //! while touching the data exactly twice.
 
-use crate::par::{block_bounds, num_blocks, DEFAULT_GRAIN};
-use rayon::prelude::*;
+use crate::par::{block_bounds, num_blocks, par_blocks_collect, par_blocks_mut, DEFAULT_GRAIN};
 
 /// In-place **exclusive** scan with operator `op` and identity `id`.
 /// Returns the total reduction of the original input.
@@ -40,10 +39,7 @@ where
     let bounds = block_bounds(n, blocks);
 
     // Pass 1: per-block reductions.
-    let mut sums: Vec<T> = bounds
-        .par_windows(2)
-        .map(|w| a[w[0]..w[1]].iter().fold(id, |acc, &x| op(acc, x)))
-        .collect();
+    let mut sums = par_blocks_collect(&bounds, |_, r| a[r].iter().fold(id, |acc, &x| op(acc, x)));
 
     // Sequential scan over the (few) block sums.
     let mut acc = id;
@@ -55,19 +51,14 @@ where
     let total = acc;
 
     // Pass 2: per-block exclusive scan seeded with the block offset.
-    let sums_ref = &sums;
-    let block_slices: Vec<&mut [T]> = split_at_bounds(a, &bounds);
-    block_slices
-        .into_par_iter()
-        .enumerate()
-        .for_each(|(b, blk)| {
-            let mut acc = sums_ref[b];
-            for x in blk.iter_mut() {
-                let old = *x;
-                *x = acc;
-                acc = op(acc, old);
-            }
-        });
+    par_blocks_mut(a, &bounds, |b, blk| {
+        let mut acc = sums[b];
+        for x in blk.iter_mut() {
+            let old = *x;
+            *x = acc;
+            acc = op(acc, old);
+        }
+    });
     total
 }
 
@@ -83,10 +74,7 @@ where
     }
     let blocks = num_blocks(n, DEFAULT_GRAIN);
     let bounds = block_bounds(n, blocks);
-    let mut sums: Vec<T> = bounds
-        .par_windows(2)
-        .map(|w| a[w[0]..w[1]].iter().fold(id, |acc, &x| op(acc, x)))
-        .collect();
+    let mut sums = par_blocks_collect(&bounds, |_, r| a[r].iter().fold(id, |acc, &x| op(acc, x)));
     let mut acc = id;
     for s in sums.iter_mut() {
         let old = *s;
@@ -94,18 +82,13 @@ where
         acc = op(acc, old);
     }
     let total = acc;
-    let sums_ref = &sums;
-    let block_slices: Vec<&mut [T]> = split_at_bounds(a, &bounds);
-    block_slices
-        .into_par_iter()
-        .enumerate()
-        .for_each(|(b, blk)| {
-            let mut acc = sums_ref[b];
-            for x in blk.iter_mut() {
-                acc = op(acc, *x);
-                *x = acc;
-            }
-        });
+    par_blocks_mut(a, &bounds, |b, blk| {
+        let mut acc = sums[b];
+        for x in blk.iter_mut() {
+            acc = op(acc, *x);
+            *x = acc;
+        }
+    });
     total
 }
 
@@ -128,19 +111,11 @@ pub fn prefix_sums(a: &mut [usize]) -> usize {
         return crate::kernels::exclusive_scan_usize(a, 0);
     }
     let bounds = block_bounds(n, blocks);
-    let mut sums: Vec<usize> = bounds
-        .par_windows(2)
-        .map(|w| crate::kernels::sum_usize(&a[w[0]..w[1]]))
-        .collect();
+    let mut sums = par_blocks_collect(&bounds, |_, r| crate::kernels::sum_usize(&a[r]));
     let total = crate::kernels::exclusive_scan_usize(&mut sums, 0);
-    let sums_ref = &sums;
-    let block_slices: Vec<&mut [usize]> = split_at_bounds(a, &bounds);
-    block_slices
-        .into_par_iter()
-        .enumerate()
-        .for_each(|(b, blk)| {
-            crate::kernels::exclusive_scan_usize(blk, sums_ref[b]);
-        });
+    par_blocks_mut(a, &bounds, |b, blk| {
+        crate::kernels::exclusive_scan_usize(blk, sums[b]);
+    });
     total
 }
 
@@ -157,10 +132,9 @@ pub fn scan_inclusive_u64(a: &mut [u64]) -> u64 {
         return crate::kernels::inclusive_scan_u64(a, 0);
     }
     let bounds = block_bounds(n, blocks);
-    let mut sums: Vec<u64> = bounds
-        .par_windows(2)
-        .map(|w| a[w[0]..w[1]].iter().copied().fold(0u64, u64::wrapping_add))
-        .collect();
+    let mut sums = par_blocks_collect(&bounds, |_, r| {
+        a[r].iter().copied().fold(0u64, u64::wrapping_add)
+    });
     let mut acc = 0u64;
     for s in sums.iter_mut() {
         let old = *s;
@@ -168,29 +142,10 @@ pub fn scan_inclusive_u64(a: &mut [u64]) -> u64 {
         acc = acc.wrapping_add(old);
     }
     let total = acc;
-    let sums_ref = &sums;
-    let block_slices: Vec<&mut [u64]> = split_at_bounds(a, &bounds);
-    block_slices
-        .into_par_iter()
-        .enumerate()
-        .for_each(|(b, blk)| {
-            crate::kernels::inclusive_scan_u64(blk, sums_ref[b]);
-        });
+    par_blocks_mut(a, &bounds, |b, blk| {
+        crate::kernels::inclusive_scan_u64(blk, sums[b]);
+    });
     total
-}
-
-/// Split a mutable slice into the pieces delimited by `bounds`
-/// (`bounds[0] = 0`, `bounds.last() = a.len()`, nondecreasing).
-fn split_at_bounds<'a, T>(mut a: &'a mut [T], bounds: &[usize]) -> Vec<&'a mut [T]> {
-    let mut out = Vec::with_capacity(bounds.len().saturating_sub(1));
-    let mut prev = 0usize;
-    for &b in &bounds[1..] {
-        let (head, tail) = a.split_at_mut(b - prev);
-        out.push(head);
-        a = tail;
-        prev = b;
-    }
-    out
 }
 
 #[cfg(test)]
@@ -249,18 +204,6 @@ mod tests {
             assert_eq!(got[i], run);
             run = run.max(orig[i]);
         }
-    }
-
-    #[test]
-    fn split_at_bounds_partitions() {
-        let mut v: Vec<u32> = (0..10).collect();
-        let bounds = vec![0, 3, 3, 7, 10];
-        let parts = split_at_bounds(&mut v, &bounds);
-        assert_eq!(parts.len(), 4);
-        assert_eq!(parts[0], &[0, 1, 2]);
-        assert!(parts[1].is_empty());
-        assert_eq!(parts[2], &[3, 4, 5, 6]);
-        assert_eq!(parts[3], &[7, 8, 9]);
     }
 
     /// The kernelized entry points must be byte-identical to the generic

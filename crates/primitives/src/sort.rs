@@ -6,11 +6,10 @@
 //! buckets and `B` blocks) and `O(log n)` span; the radix sort composes
 //! stable counting-sort passes over 16-bit digits.
 
-use crate::par::{block_bounds, num_blocks, DEFAULT_GRAIN};
+use crate::par::{block_bounds, num_blocks, par_blocks, par_for, DEFAULT_GRAIN};
 use crate::scan::prefix_sums;
 use crate::slice::{reuse_uninit, UnsafeSlice};
 use crate::worker_local::WorkerLocal;
-use rayon::prelude::*;
 
 /// Upper bound on `K·B` so per-block histograms stay cache-friendly.
 const MAX_HIST_CELLS: usize = 1 << 24;
@@ -64,9 +63,9 @@ pub fn counting_sort_by_into<T, F>(
     let mut hist = vec![0usize; blocks * k];
     {
         let hview = UnsafeSlice::new(&mut hist);
-        bounds.par_windows(2).enumerate().for_each(|(b, w)| {
+        par_blocks(&bounds, |b, r| {
             // SAFETY: block `b` owns row `b*k .. (b+1)*k` exclusively.
-            for item in &items[w[0]..w[1]] {
+            for item in &items[r] {
                 let j = key(item);
                 debug_assert!(j < k, "key {j} out of bucket range {k}");
                 unsafe {
@@ -82,13 +81,11 @@ pub fn counting_sort_by_into<T, F>(
     {
         let cview = UnsafeSlice::new(&mut cursors);
         let hist_ref = &hist;
-        rayon::scope(|_| {
-            (0..k).into_par_iter().for_each(|j| {
-                for b in 0..blocks {
-                    // SAFETY: cell (j, b) is written once, by this iteration.
-                    unsafe { cview.write(j * blocks + b, hist_ref[b * k + j]) };
-                }
-            });
+        par_for(k, |j| {
+            for b in 0..blocks {
+                // SAFETY: cell (j, b) is written once, by this iteration.
+                unsafe { cview.write(j * blocks + b, hist_ref[b * k + j]) };
+            }
         });
     }
     let total = prefix_sums(&mut cursors);
@@ -112,11 +109,11 @@ pub fn counting_sort_by_into<T, F>(
         let oview = UnsafeSlice::new(out.as_mut_slice());
         let cursors_ref = &cursors;
         let local_cursors = WorkerLocal::<Vec<usize>>::default();
-        bounds.par_windows(2).enumerate().for_each(|(b, w)| {
+        par_blocks(&bounds, |b, r| {
             local_cursors.with(|local| {
                 local.clear();
                 local.extend((0..k).map(|j| cursors_ref[j * blocks + b]));
-                for item in &items[w[0]..w[1]] {
+                for item in &items[r] {
                     let j = key(item);
                     // SAFETY: the scanned cursors give every (block,
                     // bucket) pair a disjoint output range.
@@ -182,7 +179,7 @@ where
     // backward sweep.
     {
         let oview = UnsafeSlice::new(&mut offsets);
-        crate::par::par_for(n, |i| {
+        par_for(n, |i| {
             let kj = key(&sorted[i]);
             debug_assert!(kj < k);
             if i == 0 {

@@ -1,145 +1,24 @@
-//! Data-parallel iterators: the slice of rayon's iterator API the
-//! workspace uses, executed by splitting inputs into contiguous pieces and
-//! draining the pieces through the persistent work-sharing pool.
+//! The one data-parallel iterator the workspace uses:
+//! `(lo..hi).into_par_iter().for_each(f)` over a `usize` range.
 //!
-//! Core contract: [`ParallelIterator::split`] turns an iterator into
-//! ordered `(offset, sequential-iterator)` pieces. Adapters compose at the
-//! piece level (`map` wraps each piece's iterator; `fold` turns each piece
-//! into a single lazily-computed accumulator). Terminals hand the pieces
-//! to [`run_pieces`], which publishes one pool job per operation; the
-//! calling thread and any in-budget pool workers claim pieces with an
-//! atomic cursor (see `pool.rs` — the pool bounds total live workers
-//! globally, so nested parallel calls never oversubscribe). Piece
-//! boundaries depend only on the input length and the worker count, never
-//! on timing, so ordered terminals (`collect`) are deterministic.
+//! `for_each` splits the range into a few contiguous pieces per worker
+//! and hands them straight to [`run_parallel`]; the calling thread and
+//! any in-budget pool workers claim pieces with an atomic cursor (see
+//! `pool.rs` — the pool bounds total live workers globally, so nested
+//! parallel calls never oversubscribe). Piece boundaries depend only on
+//! the range length and the worker count, never on timing, and nothing
+//! is allocated beyond the pool's job record.
 
 use crate::pool::{current_num_threads, run_parallel};
-use std::sync::Mutex;
+use std::ops::Range;
 
-/// Near-equal contiguous boundaries: `pieces + 1` values from 0 to `n`.
-fn piece_bounds(n: usize, pieces: usize) -> Vec<usize> {
-    let pieces = pieces.max(1);
-    (0..=pieces).map(|i| i * n / pieces).collect()
-}
-
-/// How many pieces to aim for: a few per worker for load balance.
-fn target_pieces(threads: usize, len_hint: usize) -> usize {
-    if threads <= 1 {
-        1
-    } else {
-        (4 * threads).min(len_hint.max(1))
-    }
-}
-
-/// Run every piece of `iter` through `work`, returning per-piece results in
-/// piece order. Sequential when one worker (or one piece) suffices.
-fn run_pieces<I, R, W>(iter: I, work: &W) -> Vec<R>
-where
-    I: ParallelIterator,
-    R: Send,
-    W: Fn(usize, I::SeqIter) -> R + Sync,
-{
-    let threads = current_num_threads();
-    let hint = iter.len_hint();
-    let pieces = iter.split(target_pieces(threads, hint));
-    if threads <= 1 || pieces.len() <= 1 {
-        return pieces.into_iter().map(|(off, it)| work(off, it)).collect();
-    }
-    let np = pieces.len();
-    let inputs: Vec<Mutex<Option<(usize, I::SeqIter)>>> =
-        pieces.into_iter().map(|p| Mutex::new(Some(p))).collect();
-    let slots: Vec<Mutex<Option<R>>> = (0..np).map(|_| Mutex::new(None)).collect();
-    run_parallel(np, &|i| {
-        let (off, it) = inputs[i]
-            .lock()
-            .unwrap()
-            .take()
-            .expect("piece claimed twice");
-        *slots[i].lock().unwrap() = Some(work(off, it));
-    });
-    slots
-        .into_iter()
-        .map(|m| m.into_inner().unwrap().expect("piece produced no result"))
-        .collect()
-}
-
-/// The parallel-iterator trait (rayon's, reduced to the surface used).
+/// The parallel-iterator trait, reduced to its one terminal.
 pub trait ParallelIterator: Sized + Send {
     type Item: Send;
-    type SeqIter: Iterator<Item = Self::Item> + Send;
-
-    /// Item count when cheaply known (piece-count heuristic only).
-    fn len_hint(&self) -> usize;
-
-    /// Split into ordered `(global offset of first item, iterator)` pieces.
-    fn split(self, pieces: usize) -> Vec<(usize, Self::SeqIter)>;
-
-    fn map<R, F>(self, f: F) -> Map<Self, F>
-    where
-        R: Send,
-        F: Fn(Self::Item) -> R + Clone + Send + Sync,
-    {
-        Map { base: self, f }
-    }
-
-    fn enumerate(self) -> Enumerate<Self> {
-        Enumerate { base: self }
-    }
-
-    fn fold<T, ID, F>(self, identity: ID, fold_op: F) -> Fold<Self, ID, F>
-    where
-        T: Send,
-        ID: Fn() -> T + Clone + Send + Sync,
-        F: Fn(T, Self::Item) -> T + Clone + Send + Sync,
-    {
-        Fold {
-            base: self,
-            identity,
-            fold_op,
-        }
-    }
 
     fn for_each<F>(self, f: F)
     where
-        F: Fn(Self::Item) + Send + Sync,
-    {
-        run_pieces(self, &|_, it| {
-            for x in it {
-                f(x);
-            }
-        });
-    }
-
-    fn reduce<ID, OP>(self, identity: ID, op: OP) -> Self::Item
-    where
-        ID: Fn() -> Self::Item + Send + Sync,
-        OP: Fn(Self::Item, Self::Item) -> Self::Item + Send + Sync,
-    {
-        let parts = run_pieces(self, &|_, it: Self::SeqIter| it.fold(identity(), &op));
-        parts.into_iter().fold(identity(), op)
-    }
-
-    fn sum<S>(self) -> S
-    where
-        S: Send + std::iter::Sum<Self::Item> + std::iter::Sum<S>,
-    {
-        run_pieces(self, &|_, it: Self::SeqIter| it.sum::<S>())
-            .into_iter()
-            .sum()
-    }
-
-    fn count(self) -> usize {
-        run_pieces(self, &|_, it: Self::SeqIter| it.count())
-            .into_iter()
-            .sum()
-    }
-
-    fn collect<C>(self) -> C
-    where
-        C: FromParallelIterator<Self::Item>,
-    {
-        C::from_par_iter(self)
-    }
+        F: Fn(Self::Item) + Send + Sync;
 }
 
 /// Conversion into a parallel iterator (`rayon::iter::IntoParallelIterator`).
@@ -149,319 +28,40 @@ pub trait IntoParallelIterator {
     fn into_par_iter(self) -> Self::Iter;
 }
 
-/// Ordered collection from a parallel iterator.
-pub trait FromParallelIterator<T: Send> {
-    fn from_par_iter<I: ParallelIterator<Item = T>>(iter: I) -> Self;
+/// Parallel iterator over a `usize` range.
+pub struct RangeParIter {
+    range: Range<usize>,
 }
 
-impl<T: Send> FromParallelIterator<T> for Vec<T> {
-    fn from_par_iter<I: ParallelIterator<Item = T>>(iter: I) -> Self {
-        let parts = run_pieces(iter, &|_, it: I::SeqIter| it.collect::<Vec<T>>());
-        let total = parts.iter().map(Vec::len).sum();
-        let mut out = Vec::with_capacity(total);
-        for p in parts {
-            out.extend(p);
-        }
-        out
+impl IntoParallelIterator for Range<usize> {
+    type Item = usize;
+    type Iter = RangeParIter;
+    fn into_par_iter(self) -> RangeParIter {
+        RangeParIter { range: self }
     }
 }
 
-// --------------------------------------------------------------------------
-// Base producers
-// --------------------------------------------------------------------------
+impl ParallelIterator for RangeParIter {
+    type Item = usize;
 
-/// Parallel iterator over an integer range.
-pub struct RangeParIter<T> {
-    start: T,
-    end: T,
-}
-
-macro_rules! impl_range_par_iter {
-    ($t:ty) => {
-        impl IntoParallelIterator for std::ops::Range<$t> {
-            type Item = $t;
-            type Iter = RangeParIter<$t>;
-            fn into_par_iter(self) -> RangeParIter<$t> {
-                RangeParIter {
-                    start: self.start,
-                    end: self.end,
-                }
+    fn for_each<F>(self, f: F)
+    where
+        F: Fn(usize) + Send + Sync,
+    {
+        let Range { start, end } = self.range;
+        let n = end.saturating_sub(start);
+        // A few pieces per worker for load balance; one when sequential.
+        let threads = current_num_threads();
+        let pieces = if threads <= 1 {
+            1
+        } else {
+            (4 * threads).min(n.max(1))
+        };
+        run_parallel(pieces, &|p| {
+            for i in start + p * n / pieces..start + (p + 1) * n / pieces {
+                f(i);
             }
-        }
-
-        impl ParallelIterator for RangeParIter<$t> {
-            type Item = $t;
-            type SeqIter = std::ops::Range<$t>;
-
-            fn len_hint(&self) -> usize {
-                if self.end > self.start {
-                    (self.end - self.start) as usize
-                } else {
-                    0
-                }
-            }
-
-            fn split(self, pieces: usize) -> Vec<(usize, Self::SeqIter)> {
-                let n = self.len_hint();
-                let start = self.start;
-                piece_bounds(n, pieces)
-                    .windows(2)
-                    .map(|w| (w[0], (start + w[0] as $t)..(start + w[1] as $t)))
-                    .collect()
-            }
-        }
-    };
-}
-
-impl_range_par_iter!(u32);
-impl_range_par_iter!(u64);
-impl_range_par_iter!(usize);
-
-/// Parallel iterator over owned `Vec` elements.
-pub struct VecParIter<T> {
-    items: Vec<T>,
-}
-
-impl<T: Send> IntoParallelIterator for Vec<T> {
-    type Item = T;
-    type Iter = VecParIter<T>;
-    fn into_par_iter(self) -> VecParIter<T> {
-        VecParIter { items: self }
-    }
-}
-
-impl<T: Send> ParallelIterator for VecParIter<T> {
-    type Item = T;
-    type SeqIter = std::vec::IntoIter<T>;
-
-    fn len_hint(&self) -> usize {
-        self.items.len()
-    }
-
-    fn split(self, pieces: usize) -> Vec<(usize, Self::SeqIter)> {
-        let bounds = piece_bounds(self.items.len(), pieces);
-        let mut rest = self.items;
-        let mut out: Vec<(usize, Self::SeqIter)> = Vec::with_capacity(bounds.len() - 1);
-        for w in bounds.windows(2).rev() {
-            let tail = rest.split_off(w[0]);
-            out.push((w[0], tail.into_iter()));
-        }
-        out.reverse();
-        out
-    }
-}
-
-/// Borrowing parallel iterator over slice elements (`par_iter`).
-pub struct SliceParIter<'a, T> {
-    slice: &'a [T],
-}
-
-impl<'a, T: Sync> ParallelIterator for SliceParIter<'a, T> {
-    type Item = &'a T;
-    type SeqIter = std::slice::Iter<'a, T>;
-
-    fn len_hint(&self) -> usize {
-        self.slice.len()
-    }
-
-    fn split(self, pieces: usize) -> Vec<(usize, Self::SeqIter)> {
-        let s = self.slice;
-        piece_bounds(s.len(), pieces)
-            .windows(2)
-            .map(|w| (w[0], s[w[0]..w[1]].iter()))
-            .collect()
-    }
-}
-
-/// Parallel iterator over sliding windows (`par_windows`).
-///
-/// Construction validates `size >= 1` (matching `slice::windows`), so
-/// `len_hint` and `split` agree on every constructible value.
-pub struct SliceParWindows<'a, T> {
-    slice: &'a [T],
-    size: usize,
-}
-
-impl<'a, T: Sync> ParallelIterator for SliceParWindows<'a, T> {
-    type Item = &'a [T];
-    type SeqIter = std::slice::Windows<'a, T>;
-
-    fn len_hint(&self) -> usize {
-        (self.slice.len() + 1).saturating_sub(self.size)
-    }
-
-    fn split(self, pieces: usize) -> Vec<(usize, Self::SeqIter)> {
-        let s = self.slice;
-        let size = self.size;
-        piece_bounds(self.len_hint(), pieces)
-            .windows(2)
-            .map(|w| {
-                // Windows starting in [w0, w1) live in s[w0 .. w1-1+size].
-                let hi = if w[1] > w[0] { w[1] - 1 + size } else { w[0] };
-                (w[0], s[w[0]..hi.min(s.len())].windows(size))
-            })
-            .collect()
-    }
-}
-
-/// `par_iter()` / `par_windows()` on slices (and `Vec` via deref).
-pub trait ParallelSlice<T: Sync> {
-    fn par_iter(&self) -> SliceParIter<'_, T>;
-    fn par_windows(&self, size: usize) -> SliceParWindows<'_, T>;
-}
-
-impl<T: Sync> ParallelSlice<T> for [T] {
-    fn par_iter(&self) -> SliceParIter<'_, T> {
-        SliceParIter { slice: self }
-    }
-
-    fn par_windows(&self, size: usize) -> SliceParWindows<'_, T> {
-        assert!(size >= 1, "window size must be positive");
-        SliceParWindows { slice: self, size }
-    }
-}
-
-// --------------------------------------------------------------------------
-// Adapters
-// --------------------------------------------------------------------------
-
-pub struct Map<I, F> {
-    base: I,
-    f: F,
-}
-
-impl<I, F, R> ParallelIterator for Map<I, F>
-where
-    I: ParallelIterator,
-    R: Send,
-    F: Fn(I::Item) -> R + Clone + Send + Sync,
-{
-    type Item = R;
-    type SeqIter = std::iter::Map<I::SeqIter, F>;
-
-    fn len_hint(&self) -> usize {
-        self.base.len_hint()
-    }
-
-    fn split(self, pieces: usize) -> Vec<(usize, Self::SeqIter)> {
-        let f = self.f;
-        self.base
-            .split(pieces)
-            .into_iter()
-            .map(|(off, it)| (off, it.map(f.clone())))
-            .collect()
-    }
-}
-
-pub struct Enumerate<I> {
-    base: I,
-}
-
-/// Sequential enumeration starting from a piece's global offset.
-pub struct EnumerateSeq<I> {
-    inner: I,
-    next: usize,
-}
-
-impl<I: Iterator> Iterator for EnumerateSeq<I> {
-    type Item = (usize, I::Item);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let x = self.inner.next()?;
-        let i = self.next;
-        self.next += 1;
-        Some((i, x))
-    }
-}
-
-impl<I: ParallelIterator> ParallelIterator for Enumerate<I> {
-    type Item = (usize, I::Item);
-    type SeqIter = EnumerateSeq<I::SeqIter>;
-
-    fn len_hint(&self) -> usize {
-        self.base.len_hint()
-    }
-
-    fn split(self, pieces: usize) -> Vec<(usize, Self::SeqIter)> {
-        self.base
-            .split(pieces)
-            .into_iter()
-            .map(|(off, it)| {
-                (
-                    off,
-                    EnumerateSeq {
-                        inner: it,
-                        next: off,
-                    },
-                )
-            })
-            .collect()
-    }
-}
-
-pub struct Fold<I, ID, F> {
-    base: I,
-    identity: ID,
-    fold_op: F,
-}
-
-/// A piece of a `fold`: yields exactly one accumulator, computed lazily on
-/// the worker thread that claims the piece.
-pub struct FoldSeq<I, T, F> {
-    inner: Option<I>,
-    init: Option<T>,
-    f: F,
-}
-
-impl<I, T, F> Iterator for FoldSeq<I, T, F>
-where
-    I: Iterator,
-    F: Fn(T, I::Item) -> T,
-{
-    type Item = T;
-
-    fn next(&mut self) -> Option<T> {
-        let it = self.inner.take()?;
-        let mut acc = self.init.take()?;
-        for x in it {
-            acc = (self.f)(acc, x);
-        }
-        Some(acc)
-    }
-}
-
-impl<I, T, ID, F> ParallelIterator for Fold<I, ID, F>
-where
-    I: ParallelIterator,
-    T: Send,
-    ID: Fn() -> T + Clone + Send + Sync,
-    F: Fn(T, I::Item) -> T + Clone + Send + Sync,
-{
-    type Item = T;
-    type SeqIter = FoldSeq<I::SeqIter, T, F>;
-
-    fn len_hint(&self) -> usize {
-        self.base.len_hint()
-    }
-
-    fn split(self, pieces: usize) -> Vec<(usize, Self::SeqIter)> {
-        let identity = self.identity;
-        let fold_op = self.fold_op;
-        self.base
-            .split(pieces)
-            .into_iter()
-            .enumerate()
-            .map(|(pi, (_, it))| {
-                (
-                    pi,
-                    FoldSeq {
-                        inner: Some(it),
-                        init: Some(identity()),
-                        f: fold_op.clone(),
-                    },
-                )
-            })
-            .collect()
+        });
     }
 }
 
@@ -471,99 +71,12 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
-    fn range_map_collect_ordered() {
-        let v: Vec<usize> = (0usize..10_000).into_par_iter().map(|i| i * 2).collect();
-        assert_eq!(v.len(), 10_000);
-        assert!(v.iter().enumerate().all(|(i, &x)| x == 2 * i));
-    }
-
-    #[test]
     fn for_each_covers_all() {
-        use std::sync::atomic::AtomicUsize;
         let hits: Vec<AtomicUsize> = (0..5000).map(|_| AtomicUsize::new(0)).collect();
         (0usize..5000).into_par_iter().for_each(|i| {
             hits[i].fetch_add(1, Ordering::Relaxed);
         });
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn fold_reduce_concatenates_everything() {
-        let out: Vec<u32> = (0u32..1000)
-            .into_par_iter()
-            .fold(Vec::new, |mut acc: Vec<u32>, x| {
-                acc.push(x);
-                acc
-            })
-            .reduce(Vec::new, |mut a, mut b| {
-                a.append(&mut b);
-                a
-            });
-        let mut sorted = out.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0u32..1000).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn slice_iter_sum_and_windows() {
-        let xs: Vec<usize> = (0..1000).collect();
-        let s: usize = xs.par_iter().map(|&x| x).sum();
-        assert_eq!(s, 999 * 1000 / 2);
-
-        let bounds: Vec<usize> = vec![0, 3, 7, 10];
-        let sums: Vec<usize> = bounds
-            .par_windows(2)
-            .map(|w| xs[w[0]..w[1]].iter().sum())
-            .collect();
-        assert_eq!(sums, vec![1 + 2, 3 + 4 + 5 + 6, 7 + 8 + 9]);
-    }
-
-    #[test]
-    fn vec_into_par_iter_enumerate() {
-        let mut data = vec![0u32; 257];
-        let slices: Vec<&mut [u32]> = data.chunks_mut(16).collect();
-        slices.into_par_iter().enumerate().for_each(|(b, blk)| {
-            for x in blk.iter_mut() {
-                *x = b as u32;
-            }
-        });
-        for (i, &x) in data.iter().enumerate() {
-            assert_eq!(x, (i / 16) as u32);
-        }
-    }
-
-    #[test]
-    fn windows_enumerate_offsets_are_global() {
-        let bounds: Vec<usize> = (0..=64).collect();
-        let idx: Vec<usize> = bounds
-            .par_windows(2)
-            .enumerate()
-            .map(|(b, w)| b + w[0])
-            .collect();
-        assert!(idx.iter().enumerate().all(|(i, &x)| x == 2 * i));
-    }
-
-    #[test]
-    #[should_panic(expected = "window size must be positive")]
-    fn par_windows_rejects_zero_size_at_construction() {
-        let xs = [1u32, 2, 3];
-        let _ = xs.par_windows(0);
-    }
-
-    #[test]
-    fn par_windows_len_hint_matches_split() {
-        let xs: Vec<u32> = (0..17).collect();
-        for size in 1..=5usize {
-            let hint = xs.par_windows(size).len_hint();
-            let total: usize = xs
-                .par_windows(size)
-                .split(4)
-                .into_iter()
-                .map(|(_, it)| it.count())
-                .sum();
-            assert_eq!(hint, total, "size {size}");
-            assert_eq!(hint, xs.windows(size).count(), "size {size}");
-        }
     }
 
     /// Regression for the scoped-thread shim, where a nested `par_for`
@@ -606,35 +119,5 @@ mod tests {
             crate::pool_spawn_count(),
             cap
         );
-    }
-
-    #[test]
-    fn collect_is_identical_across_thread_counts() {
-        let reference: Vec<u64> = (0u64..40_000)
-            .map(|i| i.wrapping_mul(2_654_435_761))
-            .collect();
-        for k in [1usize, 2, 4] {
-            let pool = crate::ThreadPoolBuilder::new()
-                .num_threads(k)
-                .build()
-                .unwrap();
-            let got: Vec<u64> = pool.install(|| {
-                (0u64..40_000)
-                    .into_par_iter()
-                    .map(|i| i.wrapping_mul(2_654_435_761))
-                    .collect()
-            });
-            assert_eq!(got, reference, "collect diverged at {k} threads");
-        }
-    }
-
-    #[test]
-    fn single_thread_pool_runs_inline() {
-        let pool = crate::ThreadPoolBuilder::new()
-            .num_threads(1)
-            .build()
-            .unwrap();
-        let v: Vec<usize> = pool.install(|| (0usize..100).into_par_iter().map(|i| i).collect());
-        assert_eq!(v, (0..100).collect::<Vec<_>>());
     }
 }

@@ -4,12 +4,12 @@
 //! implements — from scratch, on `std::thread` — exactly the rayon surface
 //! the workspace uses:
 //!
-//! * [`join`], [`scope`], [`current_num_threads`], [`current_thread_index`],
+//! * [`join`], [`current_num_threads`], [`current_thread_index`],
 //!   [`ThreadPoolBuilder`] / [`ThreadPool::install`] (scoped worker counts,
 //!   used by `fastbcc_primitives::par::with_threads` for the Fig. 4 sweeps);
-//! * [`prelude`] — `into_par_iter()` on ranges and vectors, `par_iter()` /
-//!   `par_windows()` on slices, and the `map` / `enumerate` / `fold` /
-//!   `reduce` / `for_each` / `sum` / `collect` adapters.
+//! * [`prelude`] — `(lo..hi).into_par_iter().for_each(f)` over a `usize`
+//!   range, the one parallel loop `fastbcc_primitives::par::par_for_grain`
+//!   is built on.
 //!
 //! Execution model: a **persistent work-stealing pool** (see `pool.rs`).
 //! Worker threads spawn lazily, once, and park on a condvar between
@@ -27,19 +27,20 @@
 //! spawns zero new OS threads ([`pool_spawn_count`]). With a size of 1,
 //! everything runs inline on the calling thread, which keeps
 //! single-thread runs fully deterministic. Piece boundaries depend only
-//! on input length and the installed worker count, so `collect` is
-//! order-stable like rayon's.
+//! on the range length and the installed worker count.
 //!
 //! The default worker budget honors the `FASTBCC_THREADS` environment
 //! variable (a positive integer), falling back to the hardware
 //! parallelism.
 //!
 //! Swap this shim for the real crate by pointing the workspace `rayon`
-//! dependency at crates.io; the shim-specific extensions are
-//! [`pool_spawn_count`] (a test hook) and [`pool_max_workers`] (the
-//! ceiling on worker identities that per-worker scratch arrays are sized
-//! for — with real rayon, the pool's configured thread count plays this
-//! role), used nowhere in the algorithm crates' hot paths.
+//! dependency at crates.io. The shim-specific extensions are
+//! [`pool_spawn_count`], [`pool_steal_count`] and
+//! [`pool_deque_max_depth`] (observability counters) and
+//! [`pool_max_workers`] (the ceiling on worker identities that per-worker
+//! scratch arrays are sized for — with real rayon, the pool's configured
+//! thread count plays this role); all four are read only through
+//! `fastbcc_primitives::par`, never in the algorithm crates' hot paths.
 
 mod iter;
 mod pool;
@@ -47,14 +48,11 @@ mod sync;
 
 pub use pool::{
     current_num_threads, current_thread_index, join, pool_deque_max_depth, pool_max_workers,
-    pool_spawn_count, pool_steal_count, scope, Scope, ThreadPool, ThreadPoolBuildError,
-    ThreadPoolBuilder,
+    pool_spawn_count, pool_steal_count, ThreadPool, ThreadPoolBuildError, ThreadPoolBuilder,
 };
 
 pub mod prelude {
-    pub use crate::iter::{
-        FromParallelIterator, IntoParallelIterator, ParallelIterator, ParallelSlice,
-    };
+    pub use crate::iter::{IntoParallelIterator, ParallelIterator};
 }
 
-pub use iter::{FromParallelIterator, IntoParallelIterator, ParallelIterator, ParallelSlice};
+pub use iter::{IntoParallelIterator, ParallelIterator};

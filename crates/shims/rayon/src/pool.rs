@@ -1034,36 +1034,8 @@ where
 }
 
 // ---------------------------------------------------------------------------
-// Scopes and thread-pool handles
+// Thread-pool handles
 // ---------------------------------------------------------------------------
-
-use std::marker::PhantomData;
-
-/// Scope handle (`rayon::scope`). Spawned closures run inline, which is a
-/// legal schedule for rayon scopes and keeps the shim simple.
-pub struct Scope<'scope> {
-    _marker: PhantomData<&'scope mut &'scope ()>,
-}
-
-impl<'scope> Scope<'scope> {
-    pub fn spawn<F>(&self, f: F)
-    where
-        F: FnOnce(&Scope<'scope>) + Send + 'scope,
-    {
-        f(self);
-    }
-}
-
-/// Create a scope; the workspace only uses it as a structured block around
-/// parallel iterators, so the callback simply runs on the calling thread.
-pub fn scope<'scope, F, R>(f: F) -> R
-where
-    F: FnOnce(&Scope<'scope>) -> R,
-{
-    f(&Scope {
-        _marker: PhantomData,
-    })
-}
 
 /// Error building a pool (never produced by this shim; kept for API parity).
 #[derive(Debug)]
@@ -1415,15 +1387,5 @@ mod tests {
                 "workers ran 256-piece jobs without ever splitting a range"
             );
         }
-    }
-
-    #[test]
-    fn scope_spawn_runs() {
-        let mut hits = 0;
-        scope(|s| {
-            s.spawn(|_| {});
-            hits += 1;
-        });
-        assert_eq!(hits, 1);
     }
 }

@@ -91,11 +91,10 @@ fn arb_scripted_graph(
 }
 
 /// Run `script` against both the incremental engine and a mirrored edge
-/// set, checking full equivalence after every batch.
+/// set, checking full equivalence after every batch. Every assertion
+/// message carries the `run_script` call that reproduces it.
 fn run_script(n: usize, init: &[(V, V)], script: &Script) {
-    if std::env::var_os("BD_TEST_DEBUG").is_some() {
-        eprintln!("run_script(n={n}, init={init:?}, script={script:?})");
-    }
+    let repro = format!("run_script(n={n}, init={init:?}, script={script:?})");
     let g0 = builder::from_edges(n, init);
     let mut live = edge_list(&g0);
     let mut engine = BccEngine::new(BccOpts::default());
@@ -124,9 +123,12 @@ fn run_script(n: usize, init: &[(V, V)], script: &Script) {
         assert_eq!(
             edge_list(engine.graph().unwrap()),
             live,
-            "edge mirror diverged at batch {bi}"
+            "edge mirror diverged at batch {bi}; reproduce: {repro}"
         );
-        assert_matches_fresh(&engine, &format!("batch {bi} ({report:?})"));
+        assert_matches_fresh(
+            &engine,
+            &format!("batch {bi} ({report:?}); reproduce: {repro}"),
+        );
     }
 }
 
