@@ -10,14 +10,13 @@
 //! Per suite row: solve once with a pooled engine, build the index, then
 //! serve warm mixed batches (25% each of `same_bcc` / `is_articulation` /
 //! `is_bridge` / `cut_vertices_on_path`) through one pooled
-//! [`QueryScratch`]. Reported: queries/sec (median over `--reps`), index
-//! bytes against the [`query_index_budget_bytes`] budget, build time, and
-//! the warm batches' `fresh_alloc_bytes` — which the `bench-smoke` CI gate
-//! requires to be 0, the same discipline as the solver's warm path.
+//! [`QueryScratch`]. Reported: queries/sec and build time (medians over
+//! `--reps`), index bytes against the [`query_index_budget_bytes`]
+//! budget, and the warm batches' `fresh_alloc_bytes` — which the
+//! `bench-smoke` CI gate requires to be 0, the same discipline as the
+//! solver's warm path.
 
-use fastbcc_bench::measure::{
-    fmt_secs, geomean, time, time_median, write_json_lines, Args, Record,
-};
+use fastbcc_bench::measure::{fmt_secs, geomean, time_median, write_json_lines, Args, Record};
 use fastbcc_bench::runner::RunOpts;
 use fastbcc_bench::suite::filter_suite;
 use fastbcc_core::query::{random_mixed_batch, QueryScratch};
@@ -48,7 +47,7 @@ fn main() {
         let (index, build_t, fresh, median) = with_threads(p, || {
             let mut engine = BccEngine::new(BccOpts::default());
             engine.solve(&g);
-            let (index, build_t) = time(|| engine.build_index());
+            let (index, build_t) = time_median(opts.reps, || engine.build_index());
             let queries = random_mixed_batch(n, batch, 0xC0FFEE ^ n as u64);
             let mut scratch = QueryScratch::with_capacity(batch);
             index.answer_batch(&queries, &mut scratch); // warm the pool

@@ -13,7 +13,9 @@
 use crate::algo::BccResult;
 use crate::postprocess::bcc_membership_counts;
 use fastbcc_graph::{NONE, V};
-use fastbcc_primitives::pack::pack_index;
+use fastbcc_primitives::pack::{pack_index, pack_map};
+use fastbcc_primitives::par::par_for;
+use fastbcc_primitives::slice::{uninit_vec, UnsafeSlice};
 
 /// A node of the block–cut tree.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -30,13 +32,12 @@ pub struct BlockCutTree {
     pub blocks: Vec<u32>,
     /// All cut nodes (articulation points), ascending.
     pub cuts: Vec<V>,
-    /// Edges `(block label, articulation vertex)`; sorted.
+    /// Edges `(block label, articulation vertex)`, one per non-root parent
+    /// pointer of the forest; sorted.
     pub edges: Vec<(u32, V)>,
     /// CSR offsets of the cut-side adjacency: the blocks containing the cut
     /// vertex `cuts[i]` are `cut_adj[cut_offsets[i] .. cut_offsets[i + 1]]`.
-    /// Length `cuts.len() + 1`. The query index
-    /// ([`crate::query::BccIndex`]) consumes the same arrays when it builds
-    /// the full forest CSR.
+    /// Length `cuts.len() + 1`.
     pub cut_offsets: Vec<u32>,
     /// Block labels grouped by cut vertex (the arcs of the cut-side CSR),
     /// ascending within each group.
@@ -98,45 +99,119 @@ impl BlockCutTree {
     }
 }
 
-/// Build the block–cut forest from a BCC result.
-pub fn block_cut_tree(r: &BccResult) -> BlockCutTree {
+/// The block–cut forest as parent pointers, read off the result
+/// representation. Nodes `0..blocks.len()` are the blocks in ascending
+/// label order; the cut nodes follow in ascending vertex order.
+///
+/// Every BCC is a label class `L` plus its head `head[L]`, the tree parent
+/// of the class's top vertex, so each forest edge `(block L, cut c)` has
+/// exactly one of two forms: `c` is in `L`'s class, or `c` is `L`'s head.
+/// Each edge is therefore exactly one parent pointer:
+/// - block `L` hangs under the cut node of `head[L]` when that head is a
+///   cut, and is a root otherwise;
+/// - cut `c` hangs under the block of `labels[c]` when that label is a BCC
+///   label, and is a root otherwise.
+///
+/// This holds for any valid `(labels, head)`, including results that
+/// [`crate::engine::BccEngine::apply_batch`] maintains.
+pub(crate) struct Forest {
+    /// Block labels, ascending.
+    pub blocks: Vec<u32>,
+    /// Articulation points, ascending.
+    pub cuts: Vec<V>,
+    /// Block node of label `l`; `NONE` when `l` is not a BCC label.
+    pub block_rank: Vec<u32>,
+    /// Rank of `v` in `cuts`; `NONE` for non-articulation vertices.
+    pub cut_id: Vec<u32>,
+    /// Parent node per node; `NONE` at the roots.
+    pub parent: Vec<u32>,
+}
+
+/// Derive the [`Forest`] from a BCC result: `O(n)` work, `O(log n)` span.
+pub(crate) fn forest(r: &BccResult) -> Forest {
     let n = r.labels.len();
     let counts = bcc_membership_counts(r);
     let cuts: Vec<V> = pack_index(n, |v| counts[v] >= 2);
-    let is_cut = {
-        let mut b = vec![false; n];
-        for &c in &cuts {
-            b[c as usize] = true;
-        }
-        b
-    };
     let blocks: Vec<u32> = pack_index(n, |l| r.is_bcc_label(l as u32));
+    let (nb, nc) = (blocks.len(), cuts.len());
 
-    // Edges: for every cut vertex v, connect it to (a) its own label's
-    // block, and (b) every block it heads.
-    let mut edges: Vec<(u32, V)> = Vec::new();
-    for &v in &cuts {
-        let l = r.labels[v as usize];
-        if r.is_bcc_label(l) {
-            edges.push((l, v));
-        }
+    let mut block_rank = vec![NONE; n];
+    {
+        let view = UnsafeSlice::new(&mut block_rank);
+        let blocks = &blocks;
+        // SAFETY: block labels are distinct vertices.
+        par_for(nb, |i| unsafe { view.write(blocks[i] as usize, i as u32) });
     }
-    for l in 0..n {
-        let h = r.head[l];
-        if h != NONE && r.is_bcc_label(l as u32) && is_cut[h as usize] {
-            edges.push((l as u32, h));
-        }
+    let mut cut_id = vec![NONE; n];
+    {
+        let view = UnsafeSlice::new(&mut cut_id);
+        let cuts = &cuts;
+        // SAFETY: cut vertices are distinct.
+        par_for(nc, |i| unsafe { view.write(cuts[i] as usize, i as u32) });
     }
+
+    // SAFETY: the loop below writes every node before use.
+    let mut parent: Vec<u32> = unsafe { uninit_vec(nb + nc) };
+    {
+        let view = UnsafeSlice::new(&mut parent);
+        let (blocks, cuts, block_rank, cut_id) = (&blocks, &cuts, &block_rank, &cut_id);
+        par_for(nb + nc, |x| {
+            let p = if x < nb {
+                let h = r.head[blocks[x] as usize];
+                if h != NONE && cut_id[h as usize] != NONE {
+                    nb as u32 + cut_id[h as usize]
+                } else {
+                    NONE
+                }
+            } else {
+                block_rank[r.labels[cuts[x - nb] as usize] as usize]
+            };
+            // SAFETY: node x written exactly once.
+            unsafe { view.write(x, p) };
+        });
+    }
+
+    Forest {
+        blocks,
+        cuts,
+        block_rank,
+        cut_id,
+        parent,
+    }
+}
+
+/// Build the block–cut forest from a BCC result.
+pub fn block_cut_tree(r: &BccResult) -> BlockCutTree {
+    let Forest {
+        blocks,
+        cuts,
+        cut_id,
+        parent,
+        ..
+    } = forest(r);
+    let nb = blocks.len();
+
+    // One edge per non-root parent pointer.
+    let mut edges: Vec<(u32, V)> = pack_map(
+        parent.len(),
+        |x| parent[x] != NONE,
+        |x| {
+            let p = parent[x] as usize;
+            if x < nb {
+                (blocks[x], cuts[p - nb])
+            } else {
+                (blocks[p], cuts[x - nb])
+            }
+        },
+    );
     edges.sort_unstable();
-    edges.dedup();
 
     // Cut-side CSR: group the edges by cut rank with the shared parallel
-    // counting sort (one binary-search rank per edge, computed up front).
-    // Keeps `cut_degree` a two-load offset difference instead of an
-    // `O(#edges)` scan per call.
+    // counting sort. Keeps `cut_degree` a two-load offset difference
+    // instead of an `O(#edges)` scan per call.
     let by_rank: Vec<(usize, u32)> = edges
         .iter()
-        .map(|&(b, c)| (cuts.binary_search(&c).expect("edge endpoint not a cut"), b))
+        .map(|&(b, c)| (cut_id[c as usize] as usize, b))
         .collect();
     let (grouped, offsets) =
         fastbcc_primitives::sort::counting_sort_by(&by_rank, cuts.len(), |&(r, _)| r);

@@ -33,7 +33,7 @@
 //!   the head side), hence `labels`/`head` stay exactly valid.
 //! * **Finalize** — three `O(n)` passes compress the DSU into `labels`,
 //!   clear heads of retired classes (so downstream full-array scans like
-//!   `BccIndex::build` never see ghost blocks), recount the label histogram
+//!   `BccIndex::new` never see ghost blocks), recount the label histogram
 //!   and the BCC/CC census.
 //!
 //! Anything outside the fast paths — a batch above 5% of the edge count,
@@ -47,7 +47,7 @@
 //! **Tag staleness contract**: after an incremental batch the result's
 //! `tags.parent` is maintained, but `first`/`last`/`low`/`high` are stale.
 //! Every shipped consumer (`bcc_of_edge`, `same_bcc`, `canonical_bccs`,
-//! `articulation_points`, `bridges`, `block_cut_tree`, `BccIndex::build`)
+//! `articulation_points`, `bridges`, `block_cut_tree`, `BccIndex::new`)
 //! reads only `labels`/`head`/`label_count`/`parent`.
 
 use crate::algo::BccResult;

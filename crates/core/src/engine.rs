@@ -225,8 +225,7 @@ impl BccEngine {
     /// once, answer query traffic from the index — it owns copies of the
     /// arrays it needs, so it stays valid across later re-solves).
     pub fn build_index(&self) -> crate::query::BccIndex {
-        let tree = crate::block_cut_tree::block_cut_tree(&self.result);
-        crate::query::BccIndex::build(&self.result, &tree)
+        crate::query::BccIndex::new(&self.result)
     }
 
     /// [`build_index`](Self::build_index) with a graph-version tag stamped

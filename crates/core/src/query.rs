@@ -3,8 +3,7 @@
 //! The solver produces the paper's `O(n)` BCC representation; the paper's
 //! introduction motivates BCC as the substrate for *downstream queries* —
 //! network reliability, centrality, planarity. This module is that layer:
-//! a read-only index built **once** from a [`BccResult`] plus its
-//! [`BlockCutTree`], answering
+//! a read-only index built **once** from a [`BccResult`], answering
 //!
 //! | query | answer | cost |
 //! |---|---|---|
@@ -14,15 +13,19 @@
 //! | [`cut_vertices_on_path(u, v)`](BccIndex::cut_vertices_on_path) | # articulation points separating `u` from `v` | `O(B)` boundary scans + `O(1)` table |
 //!
 //! The machinery is the classic Euler-tour LCA, instantiated on the
-//! **block–cut forest** instead of the input graph: the forest becomes a
-//! CSR graph, `fastbcc_ett::root_forest` roots it and lays out the global
-//! tour, [`fastbcc_ett::tour_depths`] turns the tour into a ±1 depth
-//! array, and a position-returning block RMQ
-//! ([`fastbcc_primitives::rmq::ArgRmq`]) answers `argmin(depth)` over tour
-//! intervals — the LCA of two forest nodes. Per-node prefix counts of cut
-//! nodes (`cuts_to_root`) then make "articulation points on the tree path"
-//! a four-term sum, which is exactly the set of vertices whose removal
-//! separates the two query endpoints.
+//! **block–cut forest** instead of the input graph. The result is already
+//! rooted: a BCC is a label class plus its head, the tree parent of the
+//! class's top vertex, so every forest node's parent is one
+//! `labels`/`head` lookup ([`mod@crate::block_cut_tree`]). One iterative
+//! walk over the parent pointers' children lists writes the Euler tour,
+//! each node's `first` position, its tree (`comp`), and per-node prefix
+//! counts of cut nodes (`cuts_to_root`). A position-returning block RMQ
+//! ([`fastbcc_primitives::rmq::ArgRmq`]) over the walk's depths answers
+//! `argmin(depth)` over tour intervals — the LCA of two forest nodes. The
+//! prefix counts then make "articulation points on the tree path" a
+//! four-term sum, which is exactly the set of vertices whose removal
+//! separates the two query endpoints. The tree path between two nodes does
+//! not depend on the root, so neither do the answers.
 //!
 //! Space follows the repo's discipline: everything is flat `u32` arrays —
 //! five `O(n)` vertex tables plus `O(t)` tour tables and the linear-space
@@ -35,12 +38,10 @@
 //! solve path honors.
 
 use crate::algo::BccResult;
-use crate::block_cut_tree::BlockCutTree;
-use fastbcc_ett::{root_forest, tour_depths};
-use fastbcc_graph::{stats::cc_labels_seq, Graph, NONE, V};
+use crate::block_cut_tree::{forest, BlockCutTree, Forest};
+use fastbcc_graph::{NONE, V};
 use fastbcc_primitives::par::{par_for, par_for_grain};
 use fastbcc_primitives::rmq::{ArgRmq, RmqKind};
-use fastbcc_primitives::scan::scan_inclusive_inplace;
 use fastbcc_primitives::slice::{uninit_vec, UnsafeSlice};
 
 /// One BCC query. Vertex ids must be `< n` (the solved graph's vertex
@@ -123,8 +124,8 @@ impl QueryScratch {
 }
 
 /// A read-only batched-query index over one BCC solve. See the module docs
-/// for the construction; [`build`](Self::build) runs the parallel passes
-/// once, queries never mutate.
+/// for the construction; [`new`](Self::new) builds it once, queries never
+/// mutate.
 pub struct BccIndex {
     // --- vertex-level O(1) tables (each length n) -----------------------
     /// Skeleton-connectivity label per vertex (copied out of the result so
@@ -145,8 +146,8 @@ pub struct BccIndex {
     // --- block-cut forest (nodes 0..B are blocks, B.. are cuts) ----------
     /// Number of block nodes (`B`).
     num_block_nodes: usize,
-    /// Forest-component representative per node (two vertices can be
-    /// connected through the forest iff their nodes share one).
+    /// Root node of each node's tree (two vertices are connected iff
+    /// their nodes share one).
     comp: Vec<u32>,
     /// Euler-tour first position per node.
     first: Vec<u32>,
@@ -165,18 +166,30 @@ pub struct BccIndex {
 }
 
 impl BccIndex {
-    /// Build the index from a solve result and its block–cut tree.
-    /// `O(n + t log t)` work over the forest tour length `t ≤ 4n`. The
-    /// per-element passes are parallel primitives; two small passes (the
-    /// forest-component BFS and the CSR degree counting) run sequentially
-    /// over the forest, which has at most `2n` nodes and `2(n−1)` edges.
-    pub fn build(r: &BccResult, t: &BlockCutTree) -> Self {
+    /// Build the index from a solve result. `O(n)` work.
+    ///
+    /// The block–cut forest comes straight from the result: every node's
+    /// parent is one `labels`/`head` lookup (see
+    /// [`mod@crate::block_cut_tree`]). The vertex tables and the parent
+    /// pointers are parallel passes; the children CSR and the one walk
+    /// that writes the Euler tour, `first`, `comp` and `cuts_to_root` run
+    /// sequentially over the forest's at most `2n` nodes.
+    ///
+    /// Panics if `(labels, head)` do not describe a forest: the walk then
+    /// misses the nodes on a parent-pointer cycle.
+    pub fn new(r: &BccResult) -> Self {
         let n = r.labels.len();
-        let nb = t.blocks.len();
-        let nc = t.cuts.len();
-        let nodes = nb + nc;
+        let Forest {
+            blocks,
+            block_rank,
+            cut_id,
+            parent,
+            ..
+        } = forest(r);
+        let nb = blocks.len();
+        let nodes = parent.len();
 
-        // Vertex tables: block sizes, block/cut ranks, forest node ids.
+        // Vertex tables: block sizes and forest node ids.
         // SAFETY: the scatter below writes every index `0..n` before use.
         let mut block_size: Vec<u32> = unsafe { uninit_vec(n) };
         {
@@ -191,21 +204,6 @@ impl BccIndex {
                 unsafe { view.write(l, s) };
             });
         }
-        let mut block_rank = vec![NONE; n];
-        {
-            let view = UnsafeSlice::new(&mut block_rank);
-            let blocks = &t.blocks;
-            // SAFETY: block labels are distinct vertices.
-            par_for(nb, |i| unsafe { view.write(blocks[i] as usize, i as u32) });
-        }
-        let mut cut_id = vec![NONE; n];
-        {
-            let view = UnsafeSlice::new(&mut cut_id);
-            let cuts = &t.cuts;
-            // SAFETY: cut vertices are distinct.
-            par_for(nc, |i| unsafe { view.write(cuts[i] as usize, i as u32) });
-        }
-
         let mut node_of = vec![NONE; n];
         {
             let view = UnsafeSlice::new(&mut node_of);
@@ -236,85 +234,84 @@ impl BccIndex {
                 }
             });
         }
+        drop(block_rank);
 
-        // The block-cut forest as a CSR graph — assembled directly, no
-        // sorting: `t.edges` is already grouped by block (sorted by
-        // `(block, cut)`, and block labels ascend with block ranks), and
-        // the tree's cut-side CSR (`cut_offsets`/`cut_adj`) *is* the cut
-        // half of the adjacency. Nodes 0..nb are blocks, nb.. are cuts;
-        // within every neighbor list the mapped ids stay ascending because
-        // both rank maps are monotone in vertex id.
-        let ne = t.edges.len();
-        let mut offsets = vec![0usize; nodes + 1];
-        for &(b, _) in &t.edges {
-            offsets[block_rank[b as usize] as usize + 1] += 1;
+        // Children CSR, by counting nodes per parent: count into
+        // `kid_off[p]`, scan to range ends, then place the nodes in
+        // descending order while stepping each end back to its start, so
+        // every child list ascends.
+        let mut kid_off = vec![0u32; nodes + 1];
+        for &p in &parent {
+            if p != NONE {
+                kid_off[p as usize] += 1;
+            }
         }
-        for i in 0..nb {
-            offsets[i + 1] += offsets[i];
+        let mut sum = 0;
+        for o in kid_off.iter_mut() {
+            sum += *o;
+            *o = sum;
         }
-        for i in 0..=nc {
-            offsets[nb + i] = ne + t.cut_offsets[i] as usize;
+        let mut kids = vec![0u32; sum as usize];
+        for x in (0..nodes).rev() {
+            let p = parent[x];
+            if p != NONE {
+                kid_off[p as usize] -= 1;
+                kids[kid_off[p as usize] as usize] = x as u32;
+            }
         }
-        // SAFETY: the two scatters below cover `0..ne` and `ne..2*ne`, so
-        // every index is written before use.
-        let mut arcs: Vec<V> = unsafe { uninit_vec(2 * ne) };
-        {
-            let view = UnsafeSlice::new(&mut arcs);
-            let (edges, cut_adj, block_rank, cut_id) = (&t.edges, &t.cut_adj, &block_rank, &cut_id);
-            // Block side: the grouped edge list in order. SAFETY: slot j
-            // (and ne + j below) written exactly once.
-            par_for(ne, |j| unsafe {
-                view.write(j, nb as u32 + cut_id[edges[j].1 as usize])
-            });
-            // Cut side: the tree's cut CSR with labels mapped to ranks.
-            par_for(ne, |j| unsafe {
-                view.write(ne + j, block_rank[cut_adj[j] as usize])
-            });
-        }
-        let forest = Graph::from_raw_parts(offsets, arcs);
-        let comp = cc_labels_seq(&forest);
-        let rf = root_forest(&forest, &comp, 0xB1_0C5);
-        let lca = ArgRmq::build_from(tour_depths(&rf), RmqKind::Min);
 
-        // Cut-node prefix counts along the tour: the same ±1-walk trick as
-        // tour_depths, with "is a cut node" as the weight. The running
-        // value at any position p is the number of cut nodes on the path
-        // from tour[p]'s root to tour[p], inclusive.
-        let tlen = rf.tour_len();
-        let is_cut_node = |x: V| (x as usize >= nb) as i32;
-        // SAFETY: the scatter below writes every tour position before use.
-        let mut csteps: Vec<i32> = unsafe { uninit_vec(tlen) };
-        {
-            let view = UnsafeSlice::new(&mut csteps);
-            let tour = &rf.tour_vertex;
-            par_for(tlen, |p| {
-                let s = if p == 0 {
-                    is_cut_node(tour[0])
+        // One depth-first walk with an explicit stack (the forest can be
+        // `2n` nodes deep): roots in node order, each child appended on
+        // entry and its parent again on return. That is the vertex-sequence
+        // Euler tour of every tree, `2·nodes − roots` positions in all.
+        let roots = nodes - kids.len();
+        let tour_len = 2 * nodes - roots;
+        let is_cut_node = |x: u32| (x as usize >= nb) as u32;
+        let mut tour_node: Vec<u32> = Vec::with_capacity(tour_len);
+        let mut depth: Vec<u32> = Vec::with_capacity(tour_len);
+        let mut first = vec![0u32; nodes];
+        let mut comp = vec![0u32; nodes];
+        let mut cuts_to_root = vec![0u32; nodes];
+        // (node, next slot in `kids`) per node on the root path.
+        let mut stack: Vec<(u32, u32)> = Vec::new();
+        for root in 0..nodes as u32 {
+            if parent[root as usize] != NONE {
+                continue;
+            }
+            let x = root as usize;
+            first[x] = tour_node.len() as u32;
+            tour_node.push(root);
+            depth.push(0);
+            comp[x] = root;
+            cuts_to_root[x] = is_cut_node(root);
+            stack.push((root, kid_off[x]));
+            while let Some(top) = stack.last_mut() {
+                let x = top.0 as usize;
+                if top.1 < kid_off[x + 1] {
+                    let c = kids[top.1 as usize];
+                    top.1 += 1;
+                    let y = c as usize;
+                    first[y] = tour_node.len() as u32;
+                    tour_node.push(c);
+                    depth.push(stack.len() as u32);
+                    comp[y] = root;
+                    cuts_to_root[y] = cuts_to_root[x] + is_cut_node(c);
+                    stack.push((c, kid_off[y]));
                 } else {
-                    let y = tour[p];
-                    let x = tour[p - 1];
-                    if rf.parent[y as usize] == x {
-                        is_cut_node(y) // entering y from its parent
-                    } else if rf.parent[y as usize] == NONE && rf.first[y as usize] as usize == p {
-                        is_cut_node(y) - is_cut_node(x) // tree boundary reset
-                    } else {
-                        -is_cut_node(x) // returning from child x to y
+                    stack.pop();
+                    if let Some(&(p, _)) = stack.last() {
+                        tour_node.push(p);
+                        depth.push(stack.len() as u32 - 1);
                     }
-                };
-                // SAFETY: position p written exactly once.
-                unsafe { view.write(p, s) };
-            });
+                }
+            }
         }
-        scan_inclusive_inplace(&mut csteps, 0i32, |a, b| a + b);
-        let mut cuts_to_root: Vec<u32> = unsafe { uninit_vec(nodes) };
-        {
-            let view = UnsafeSlice::new(&mut cuts_to_root);
-            let (first, csteps) = (&rf.first, &csteps);
-            // SAFETY: one write per node.
-            par_for(nodes, |x| unsafe {
-                view.write(x, csteps[first[x] as usize] as u32)
-            });
-        }
+        assert_eq!(
+            tour_node.len(),
+            tour_len,
+            "labels/head do not describe a block-cut forest"
+        );
+        let lca = ArgRmq::build_from(depth, RmqKind::Min);
 
         Self {
             labels: r.labels.clone(),
@@ -324,12 +321,23 @@ impl BccIndex {
             node_of,
             num_block_nodes: nb,
             comp,
-            first: rf.first,
-            tour_node: rf.tour_vertex,
+            first,
+            tour_node,
             cuts_to_root,
             lca,
             version: 0,
         }
+    }
+
+    /// Build the index from a solve result and its block–cut tree: the
+    /// same index as [`new`](Self::new), which derives the forest itself.
+    pub fn build(r: &BccResult, t: &BlockCutTree) -> Self {
+        let ix = Self::new(r);
+        debug_assert_eq!(
+            (ix.num_blocks(), ix.num_cuts()),
+            (t.blocks.len(), t.cuts.len())
+        );
+        ix
     }
 
     /// The caller-assigned graph-version tag (0 if never set).
@@ -511,13 +519,14 @@ mod tests {
     use super::*;
     use crate::algo::{fast_bcc, BccOpts};
     use crate::block_cut_tree::block_cut_tree;
+    use fastbcc_graph::builder::from_edges;
     use fastbcc_graph::generators::classic::*;
+    use fastbcc_graph::stats::cc_labels_seq;
     use fastbcc_graph::Graph;
 
     fn index_of(g: &Graph) -> BccIndex {
         let r = fast_bcc(g, BccOpts::default());
-        let t = block_cut_tree(&r);
-        BccIndex::build(&r, &t)
+        BccIndex::new(&r)
     }
 
     #[test]
@@ -630,6 +639,99 @@ mod tests {
         assert_eq!(ix.node_count(), 0);
         let mut scratch = QueryScratch::new();
         assert!(ix.answer_batch(&[], &mut scratch).is_empty());
+    }
+
+    #[test]
+    fn deep_path_forest_walks_without_recursion() {
+        // 2n − 3 forest nodes in one chain; a recursive walk would
+        // overflow the test thread's stack.
+        let n = 200_000;
+        let ix = index_of(&path(n));
+        assert_eq!(ix.num_blocks(), n - 1);
+        assert_eq!(ix.num_cuts(), n - 2);
+        assert_eq!(ix.cut_vertices_on_path(0, n as V - 1), Some(n as u32 - 2));
+        assert_eq!(ix.cut_vertices_on_path(1, n as V - 2), Some(n as u32 - 4));
+    }
+
+    #[test]
+    fn wide_star_forest() {
+        let t = 20_000;
+        let ix = index_of(&windmill(t));
+        assert_eq!((ix.num_blocks(), ix.num_cuts()), (t, 1));
+        let last = 2 * t as V - 1; // second vertex of the last blade
+        assert_eq!(ix.cut_vertices_on_path(1, last), Some(1));
+        assert_eq!(ix.cut_vertices_on_path(1, 2), Some(0));
+        assert_eq!(ix.cut_vertices_on_path(0, last), Some(0));
+        assert!(ix.same_bcc(0, last) && !ix.same_bcc(1, last));
+    }
+
+    /// The walk's tables against the block–cut tree's edge list: every
+    /// node's `first` position holds it, the tour has `2·nodes − roots`
+    /// positions, and two nodes share `comp` iff the edge list connects
+    /// them.
+    fn check_forest_tables(g: &Graph) {
+        let r = fast_bcc(g, BccOpts::default());
+        let ix = BccIndex::new(&r);
+        let t = block_cut_tree(&r);
+        let nodes = ix.node_count();
+        assert_eq!(
+            (ix.num_blocks(), ix.num_cuts()),
+            (t.blocks.len(), t.cuts.len())
+        );
+        for x in 0..nodes {
+            assert_eq!(ix.tour_node[ix.first[x] as usize], x as u32, "node {x}");
+        }
+        let nb = t.blocks.len() as V;
+        let edges: Vec<(V, V)> = t
+            .edges
+            .iter()
+            .map(|&(b, c)| {
+                let bi = t.blocks.binary_search(&b).unwrap() as V;
+                (bi, nb + t.cut_rank(c).unwrap() as V)
+            })
+            .collect();
+        let cc = cc_labels_seq(&from_edges(nodes, &edges));
+        let mut roots: Vec<u32> = cc.clone();
+        roots.sort_unstable();
+        roots.dedup();
+        assert_eq!(ix.tour_node.len(), 2 * nodes - roots.len());
+        // comp and cc induce the same partition: each maps onto the other.
+        let (mut to_cc, mut to_comp) = (vec![NONE; nodes], vec![NONE; nodes]);
+        for x in 0..nodes {
+            let (a, b) = (ix.comp[x] as usize, cc[x] as usize);
+            assert!(to_cc[a] == NONE || to_cc[a] == cc[x], "node {x}");
+            assert!(to_comp[b] == NONE || to_comp[b] == ix.comp[x], "node {x}");
+            to_cc[a] = cc[x];
+            to_comp[b] = ix.comp[x];
+        }
+    }
+
+    #[test]
+    fn forest_tables_on_the_generator_zoo() {
+        use fastbcc_graph::generators::{geometric, grid, rmat};
+        let zoo = [
+            Graph::empty(0),
+            Graph::empty(5),
+            path(2),
+            path(40),
+            cycle(7),
+            star(9),
+            windmill(6),
+            barbell(5, 3),
+            binary_tree(63),
+            ladder(10),
+            wheel(8),
+            theta(2, 3, 4),
+            clique_chain(5, 4),
+            disjoint_union(&[&windmill(3), &path(6), &cycle(4), &Graph::empty(3)]),
+            disjoint_union(&[&Graph::empty(2), &barbell(3, 2), &star(5)]),
+            grid::grid2d_sampled(20, 20, 0.6, 3),
+            geometric::random_geometric(2000, geometric::road_like_radius(2000), 5),
+            rmat::rmat(10, 3000, 7),
+        ];
+        for g in &zoo {
+            check_forest_tables(g);
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@ use fastbcc_primitives::atomics::{as_atomic_u32, write_max_u32, write_min_u32};
 use fastbcc_primitives::pack::{pack_index_into, pack_map_into};
 use fastbcc_primitives::par::par_for;
 use fastbcc_primitives::scan::prefix_sums;
-use fastbcc_primitives::slice::{reuse_uninit, uninit_vec, UnsafeSlice};
+use fastbcc_primitives::slice::{reuse_uninit, UnsafeSlice};
 
 use crate::listrank::{rank_circular_lists_in, ListRankScratch};
 
@@ -281,55 +281,6 @@ pub fn root_forest_in(
     }
 }
 
-/// Depth of the vertex at every global tour position (each tree's root is
-/// depth 0).
-///
-/// Consecutive tour positions within a tree differ by exactly one tree
-/// edge, so the depth sequence is a ±1 walk: `+1` when the tour enters a
-/// vertex from its parent (which happens exactly once, at `first[v]`),
-/// `-1` when it returns from a child, and a reset to 0 at each tree
-/// boundary (the root's `first` position). One parallel step pass plus one
-/// parallel inclusive scan: `O(t)` work, `O(log t)` span for tour length
-/// `t`.
-///
-/// Combined with [`RootedForest::first`] this yields per-vertex depths
-/// (`depth[v] = tour_depths(rf)[first[v]]`) and, via a range-min over the
-/// interval between two `first` positions, Euler-tour LCA — the core
-/// crate's query index consumes it exactly that way.
-pub fn tour_depths(rf: &RootedForest) -> Vec<u32> {
-    let t = rf.tour_len();
-    // SAFETY: the scatter below writes every tour position before use.
-    let mut steps: Vec<i32> = unsafe { uninit_vec(t) };
-    {
-        let view = UnsafeSlice::new(&mut steps);
-        let tour = &rf.tour_vertex;
-        par_for(t, |p| {
-            let s = if p == 0 {
-                0
-            } else {
-                let y = tour[p] as usize;
-                if rf.parent[y] == tour[p - 1] {
-                    1 // entering y from its parent (only at first[y])
-                } else if rf.parent[y] == NONE && rf.first[y] as usize == p {
-                    0 // new tree: the previous position closed a tree at depth 0
-                } else {
-                    -1 // returning from a child of y
-                }
-            };
-            // SAFETY: position p written exactly once.
-            unsafe { view.write(p, s) };
-        });
-    }
-    fastbcc_primitives::scan::scan_inclusive_inplace(&mut steps, 0i32, |a, b| a + b);
-    // Every inclusive prefix sum is a depth, hence non-negative:
-    // reinterpret the buffer as u32 in place instead of copying it.
-    let mut steps = std::mem::ManuallyDrop::new(steps);
-    let (ptr, len, cap) = (steps.as_mut_ptr(), steps.len(), steps.capacity());
-    // SAFETY: i32 and u32 share size/alignment, the allocation is handed
-    // over exactly once (ManuallyDrop), and all values are >= 0.
-    unsafe { Vec::from_raw_parts(ptr.cast::<u32>(), len, cap) }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -448,58 +399,6 @@ mod tests {
                 assert!(disjoint, "siblings {a},{b} overlap");
             }
         }
-    }
-
-    /// Oracle: depth of each vertex by walking parent pointers.
-    fn depths_by_parents(rf: &RootedForest) -> Vec<u32> {
-        (0..rf.parent.len())
-            .map(|v| {
-                let mut d = 0;
-                let mut x = v as V;
-                while rf.parent[x as usize] != NONE {
-                    x = rf.parent[x as usize];
-                    d += 1;
-                }
-                d
-            })
-            .collect()
-    }
-
-    #[test]
-    fn tour_depths_match_parent_walks() {
-        for (n, edges) in [
-            (5, vec![(0u32, 1u32), (1, 2), (2, 3), (3, 4)]), // path
-            (5, vec![(0, 1), (0, 2), (0, 3), (0, 4)]),       // star
-            (7, vec![(0, 1), (1, 2), (4, 5)]),               // forest + isolated
-            (31, (1..31u32).map(|i| ((i - 1) / 2, i)).collect()), // binary tree
-        ] {
-            let (_, rf) = rooted(n, &edges);
-            let d = tour_depths(&rf);
-            assert_eq!(d.len(), rf.tour_len());
-            let want = depths_by_parents(&rf);
-            for v in 0..n {
-                assert_eq!(
-                    d[rf.first[v] as usize], want[v],
-                    "first-position depth of {v}"
-                );
-                assert_eq!(
-                    d[rf.last[v] as usize], want[v],
-                    "last-position depth of {v}"
-                );
-            }
-            // Every appearance of a vertex sits at its depth, and adjacent
-            // positions within a tree differ by exactly 1.
-            for p in 0..rf.tour_len() {
-                assert_eq!(d[p], want[rf.tour_vertex[p] as usize], "position {p}");
-            }
-        }
-    }
-
-    #[test]
-    fn tour_depths_empty_forest() {
-        let (_, rf) = rooted(3, &[]);
-        let d = tour_depths(&rf);
-        assert_eq!(d, vec![0, 0, 0]); // three isolated single-slot trees
     }
 
     #[test]

@@ -27,5 +27,5 @@
 pub mod euler;
 pub mod listrank;
 
-pub use euler::{root_forest, root_forest_in, tour_depths, EttScratch, RootedForest};
+pub use euler::{root_forest, root_forest_in, EttScratch, RootedForest};
 pub use listrank::{rank_circular_lists, rank_circular_lists_in, ListRankScratch};

@@ -1,14 +1,15 @@
 //! Batch-dynamic equivalence: after every `BccEngine::apply_batch`, the
 //! engine's result must be indistinguishable from a fresh solve of the
 //! evolved graph — same component and block counts, same canonical BCCs,
-//! same articulation vertices and bridges — no matter which internal path
-//! (bridge fast paths, certificates, region re-solves, region re-roots, or
-//! the full-solve fallback) the batch took. Deletions are drawn from the live
-//! edge set, so scripts routinely cut bridges and tree edges, disconnect
-//! components, and reconnect them batches later.
+//! same articulation vertices and bridges, same query-index answers — no
+//! matter which internal path (bridge fast paths, certificates, region
+//! re-solves, region re-roots, or the full-solve fallback) the batch took.
+//! Deletions are drawn from the live edge set, so scripts routinely cut
+//! bridges and tree edges, disconnect components, and reconnect them
+//! batches later.
 
 use fast_bcc::core::postprocess::{articulation_points, bridges};
-use fast_bcc::core::{canonical_bccs as canon, BccEngine};
+use fast_bcc::core::{canonical_bccs as canon, BccEngine, Query, QueryScratch};
 use fast_bcc::graph::{builder, Graph, V};
 use fast_bcc::BccOpts;
 use proptest::prelude::*;
@@ -49,6 +50,33 @@ fn assert_matches_fresh(engine: &BccEngine, ctx: &str) {
         norm(bridges(engine.result())),
         norm(bridges(fresh.result())),
         "bridges {ctx}"
+    );
+
+    // The index over the maintained result must answer the serving
+    // rebuilder's traffic exactly as a fresh solve's index does: all pairs
+    // of the pair queries, plus every vertex's articulation query.
+    let n = g.n() as V;
+    let mut queries = Vec::new();
+    for u in 0..n {
+        queries.push(Query::IsArticulation(u));
+        for v in 0..n {
+            queries.push(Query::SameBcc(u, v));
+            queries.push(Query::IsBridge(u, v));
+            queries.push(Query::CutVerticesOnPath(u, v));
+        }
+    }
+    let (ix, fresh_ix) = (engine.build_index(), fresh.build_index());
+    assert_eq!(
+        (ix.num_blocks(), ix.num_cuts()),
+        (fresh_ix.num_blocks(), fresh_ix.num_cuts()),
+        "index node counts {ctx}"
+    );
+    let mut scratch = QueryScratch::new();
+    let got = ix.answer_batch(&queries, &mut scratch).to_vec();
+    assert_eq!(
+        got,
+        fresh_ix.answer_batch(&queries, &mut scratch),
+        "index answers {ctx}"
     );
 }
 

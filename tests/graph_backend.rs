@@ -39,8 +39,7 @@ struct Reference {
 
 fn reference(g: &Graph, tag: &str) -> Reference {
     let r = fast_bcc(g, BccOpts::default());
-    let t = block_cut_tree(&r);
-    let ix = BccIndex::build(&r, &t);
+    let ix = BccIndex::new(&r);
     let queries = if g.n() > 0 {
         random_mixed_batch(g.n(), 96, 0xB1C0 ^ g.n() as u64)
     } else {
@@ -66,8 +65,7 @@ fn check_one<G: GraphView>(g: &G, want: &Reference, tag: &str, threads: usize) {
     assert_eq!(r.num_bcc, want.num_bcc, "{ctx}: num_bcc");
     assert_eq!(r.num_cc, want.num_cc, "{ctx}: num_cc");
     assert_eq!(canonical_bccs(r), want.sets, "{ctx}: BCC vertex sets");
-    let t = block_cut_tree(r);
-    let ix = BccIndex::build(r, &t);
+    let ix = BccIndex::new(r);
     for (q, a) in want.queries.iter().zip(&want.answers) {
         assert_eq!(ix.answer(*q), *a, "{ctx}: {q:?}");
     }

@@ -12,8 +12,7 @@ use proptest::prelude::*;
 
 fn build_index(g: &Graph) -> (BccResult, BccIndex) {
     let r = fast_bcc(g, BccOpts::default());
-    let t = block_cut_tree(&r);
-    let ix = BccIndex::build(&r, &t);
+    let ix = BccIndex::new(&r);
     (r, ix)
 }
 
