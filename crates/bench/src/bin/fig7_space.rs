@@ -61,22 +61,23 @@ fn main() {
         // what a pooled repeated-query server actually allocates. One
         // engine per backend: the edgeMap loops monomorphize per view
         // type, and each engine's warm solve must be allocation-free.
+        // `solve_fast_bcc` keeps the paper's pipeline at every budget.
         let mut engine = BccEngine::new(BccOpts::default());
-        let cold = engine.solve(&g);
+        let cold = engine.solve_fast_bcc(&g);
         let (ours, cold_fresh, arena) = (
             cold.aux_peak_bytes,
             cold.fresh_alloc_bytes,
             cold.arena_bytes,
         );
-        let warm_fresh = engine.solve(&g).fresh_alloc_bytes;
+        let warm_fresh = engine.solve_fast_bcc(&g).fresh_alloc_bytes;
         let mut cengine = BccEngine::new(BccOpts::default());
-        let ccold = cengine.solve_view(&cg);
+        let ccold = cengine.solve_fast_bcc(&cg);
         let (cours, ccold_fresh, carena) = (
             ccold.aux_peak_bytes,
             ccold.fresh_alloc_bytes,
             ccold.arena_bytes,
         );
-        let cwarm_fresh = cengine.solve_view(&cg).fresh_alloc_bytes;
+        let cwarm_fresh = cengine.solve_fast_bcc(&cg).fresh_alloc_bytes;
         let gbbs = bfs_bcc(&g, 7).aux_peak_bytes;
         let tv = tarjan_vishkin(&g, 5).aux_peak_bytes;
         let min = ours.min(gbbs).min(tv).max(1);

@@ -15,7 +15,8 @@
 //! threads, `seq.` = the same code on one thread, `spd.` = self-relative
 //! speedup, `T_best/ours` = fastest *other* implementation over ours
 //! (highlighted yellow in the paper), `n` under SM'14 = no support
-//! (disconnected input).
+//! (disconnected input). `ours.*` is the FAST-BCC pipeline; `eng.seq` is
+//! a warm `BccEngine::solve` at budget 1, which takes the DFS solve.
 
 use fastbcc_bench::measure::{fmt_secs, geomean, write_json_lines, Args};
 use fastbcc_bench::runner::{run_suite, RowResult, RunOpts};
@@ -33,9 +34,9 @@ fn main() {
     let rows = run_suite(&opts);
 
     println!(
-        "{:<6} {:>9} {:>10} {:>7} {:>9} {:>8} | {:>8} {:>8} {:>6} | {:>8} {:>8} {:>6} | {:>8} | {:>8} | {:>10}",
+        "{:<6} {:>9} {:>10} {:>7} {:>9} {:>8} | {:>8} {:>8} {:>6} | {:>8} | {:>8} {:>8} {:>6} | {:>8} | {:>8} | {:>10}",
         "graph", "n", "m", "D", "#BCC", "|BCC1|%",
-        "ours.par", "ours.seq", "spd.",
+        "ours.par", "ours.seq", "spd.", "eng.seq",
         "gbbs.par", "gbbs.seq", "spd.",
         "sm14.par", "SEQ", "Tbest/ours"
     );
@@ -61,7 +62,7 @@ fn print_row(r: &RowResult) {
     let spd_gbbs = r.gbbs_seq.as_secs_f64() / r.gbbs_par.as_secs_f64().max(1e-9);
     let tbest = r.best_baseline().as_secs_f64() / r.ours_par.as_secs_f64().max(1e-9);
     println!(
-        "{:<6} {:>9} {:>10} {:>7} {:>9} {:>7.2}% | {:>8} {:>8} {:>6.2} | {:>8} {:>8} {:>6.2} | {:>8} | {:>8} | {:>10.2}",
+        "{:<6} {:>9} {:>10} {:>7} {:>9} {:>7.2}% | {:>8} {:>8} {:>6.2} | {:>8} | {:>8} {:>8} {:>6.2} | {:>8} | {:>8} | {:>10.2}",
         r.name,
         r.n,
         r.m,
@@ -71,6 +72,7 @@ fn print_row(r: &RowResult) {
         fmt_secs(r.ours_par),
         fmt_secs(r.ours_seq),
         spd_ours,
+        fmt_secs(r.eng_seq),
         fmt_secs(r.gbbs_par),
         fmt_secs(r.gbbs_seq),
         spd_gbbs,
@@ -93,11 +95,24 @@ fn print_means(rows: &[RowResult]) {
         .iter()
         .map(|r| r.best_baseline().as_secs_f64() / r.ours_par.as_secs_f64().max(1e-9))
         .collect();
+    let eng_speedup: Vec<f64> = rows
+        .iter()
+        .map(|r| r.ours_seq.as_secs_f64() / r.eng_seq.as_secs_f64().max(1e-9))
+        .collect();
+    let eng_over_seq: Vec<f64> = rows
+        .iter()
+        .map(|r| r.eng_seq.as_secs_f64() / r.seq.as_secs_f64().max(1e-9))
+        .collect();
     println!("--- geometric means over {} graphs ---", rows.len());
     println!(
         "speedup over SEQ: ours {:.2}x, gbbs-style {:.2}x; T_best/ours {:.2}x",
         geomean(&ours),
         geomean(&gbbs),
         geomean(&tbest)
+    );
+    println!(
+        "eng.seq: {:.2}x faster than ours.seq, {:.2}x SEQ's time",
+        geomean(&eng_speedup),
+        geomean(&eng_over_seq)
     );
 }

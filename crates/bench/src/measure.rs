@@ -45,8 +45,12 @@ pub fn fmt_secs(d: Duration) -> String {
         format!("{s:.0}")
     } else if s >= 1.0 {
         format!("{s:.2}")
-    } else {
+    } else if s >= 0.001 {
         format!("{:.3}", s)
+    } else {
+        // Sub-millisecond rows (table2's `eng.seq` on small graphs) would
+        // otherwise all print as 0.000.
+        format!("{:.5}", s)
     }
 }
 
@@ -237,6 +241,7 @@ mod tests {
     #[test]
     fn fmt_secs_ranges() {
         assert_eq!(fmt_secs(Duration::from_millis(1)), "0.001");
+        assert_eq!(fmt_secs(Duration::from_micros(420)), "0.00042");
         assert_eq!(fmt_secs(Duration::from_secs_f64(2.346)), "2.35");
         assert_eq!(fmt_secs(Duration::from_secs(120)), "120");
     }

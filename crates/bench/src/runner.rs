@@ -1,7 +1,8 @@
 //! Shared measurement loop for the Tab. 2 / Fig. 1 experiments: build each
 //! suite graph, run SEQ / FAST-BCC / GBBS-style / SM'14-style in both
-//! parallel and single-thread configurations, cross-check the BCC counts,
-//! and collect a row of results.
+//! parallel and single-thread configurations, plus the engine's warm
+//! budget-1 solve (the DFS), cross-check the BCC counts, and collect a
+//! row of results.
 
 use crate::measure::{time_median, Args, Record};
 use crate::suite::{filter_suite, Category, GraphSpec};
@@ -48,6 +49,17 @@ pub struct RowResult {
     /// Total reserved bytes of the warm engine's pooled workspace — the
     /// `c · (n + m)` space-regression gate in CI reads this.
     pub ours_scratch_bytes: usize,
+    /// Warm `BccEngine::solve` at budget 1, which takes the DFS: the
+    /// engine as the service runs it on one worker.
+    pub eng_seq: Duration,
+    /// Fresh bytes of that warm solve (0 when the pooled buffers fit).
+    pub eng_seq_fresh_bytes: usize,
+    /// Auxiliary peak bytes of that warm solve.
+    pub eng_seq_aux_peak_bytes: usize,
+    /// Arena bytes of that warm solve.
+    pub eng_seq_arena_bytes: usize,
+    /// Reserved bytes of that engine's workspace.
+    pub eng_seq_scratch_bytes: usize,
     /// GBBS-style baseline peak auxiliary bytes.
     pub gbbs_aux_peak_bytes: usize,
     /// GBBS-style baseline fresh bytes (it pools nothing, so this equals
@@ -74,16 +86,17 @@ impl RowResult {
     /// counters where the algorithm reports them. `threads` is the worker
     /// budget of the parallel configurations; with the persistent pool it
     /// is enforced, not merely requested (see `with_threads`). Only the
-    /// warm record reports the pooled workspace (`scratch_bytes`) and the
-    /// linear budget it must fit (`scratch_budget_bytes`); the graph
-    /// columns are fig7's and stay empty here.
+    /// two warm-engine records (`fast_bcc/warm`, `engine/seq`) report the
+    /// pooled workspace (`scratch_bytes`) and the linear budget it must
+    /// fit (`scratch_budget_bytes`); the graph columns are fig7's and stay
+    /// empty here.
     pub fn records(&self, threads: usize) -> Vec<Record> {
         let rec = |algo: &str, t: Duration, thr: usize, peak: usize, fresh: usize, arena: usize| {
-            let (scratch, budget) = if algo == "fast_bcc/warm" {
-                let budget = fastbcc_core::space::workspace_budget_bytes(self.n, self.m);
-                (self.ours_scratch_bytes, budget)
-            } else {
-                (0, 0)
+            let budget = fastbcc_core::space::workspace_budget_bytes(self.n, self.m);
+            let (scratch, budget) = match algo {
+                "fast_bcc/warm" => (self.ours_scratch_bytes, budget),
+                "engine/seq" => (self.eng_seq_scratch_bytes, budget),
+                _ => (0, 0),
             };
             Record::new(self.name, algo, self.n, thr)
                 .int("m", self.m)
@@ -125,6 +138,14 @@ impl RowResult {
                 ours_peak,
                 self.ours_warm_fresh_bytes,
                 ours_arena,
+            ),
+            rec(
+                "engine/seq",
+                self.eng_seq,
+                1,
+                self.eng_seq_aux_peak_bytes,
+                self.eng_seq_fresh_bytes,
+                self.eng_seq_arena_bytes,
             ),
             rec(
                 "bfs_bcc/par",
@@ -190,20 +211,36 @@ pub fn run_one(spec: &GraphSpec, g: &Graph, opts: &RunOpts) -> RowResult {
     let (ours_seq_r, ours_seq) =
         with_threads(1, || time_median(reps, || fast_bcc(g, BccOpts::default())));
 
-    // Warm pooled engine at full parallelism: the cold solve sizes the
-    // workspace (per-worker arenas included); every timed re-solve must
-    // then report zero fresh bytes — the bench-smoke CI job fails the
-    // build if any warm record says otherwise.
+    // Warm pooled FAST-BCC pipeline at full parallelism: the cold solve
+    // sizes the workspace (per-worker arenas included); every timed
+    // re-solve must then report zero fresh bytes — the bench-smoke CI job
+    // fails the build if any warm record says otherwise.
     let ((ours_warm_fresh_bytes, ours_arena_bytes, ours_scratch_bytes), ours_warm) =
         with_threads(p, || {
             let mut engine = BccEngine::new(BccOpts::default());
-            engine.solve(g);
+            engine.solve_fast_bcc(g);
             let ((fresh, arena), t) = time_median(reps, || {
-                let r = engine.solve(g);
+                let r = engine.solve_fast_bcc(g);
                 (r.fresh_alloc_bytes, r.arena_bytes)
             });
             ((fresh, arena, engine.workspace().heap_bytes()), t)
         });
+    // The engine's own budget-1 path (the DFS), warm, under the same gate.
+    let ((eng_seq_r, eng_seq_scratch_bytes), eng_seq) = with_threads(1, || {
+        let mut engine = BccEngine::new(BccOpts::default());
+        engine.solve(g);
+        let (r, t) = time_median(reps, || {
+            let r = engine.solve(g);
+            (
+                r.num_bcc,
+                r.fresh_alloc_bytes,
+                r.aux_peak_bytes,
+                r.arena_bytes,
+            )
+        });
+        ((r, engine.workspace().heap_bytes()), t)
+    });
+    let (eng_seq_bcc, eng_seq_fresh_bytes, eng_seq_aux_peak_bytes, eng_seq_arena_bytes) = eng_seq_r;
 
     let (gbbs, gbbs_par) = with_threads(p, || time_median(reps, || bfs_bcc(g, 7)));
     let (_, gbbs_seq) = with_threads(1, || time_median(reps, || bfs_bcc(g, 7)));
@@ -225,6 +262,11 @@ pub fn run_one(spec: &GraphSpec, g: &Graph, opts: &RunOpts) -> RowResult {
     assert_eq!(
         ours.num_bcc, ht.num_bcc,
         "{}: FAST-BCC count mismatch",
+        spec.name
+    );
+    assert_eq!(
+        eng_seq_bcc, ht.num_bcc,
+        "{}: engine budget-1 count mismatch",
         spec.name
     );
     assert_eq!(
@@ -255,6 +297,11 @@ pub fn run_one(spec: &GraphSpec, g: &Graph, opts: &RunOpts) -> RowResult {
         ours_warm_fresh_bytes,
         ours_arena_bytes,
         ours_scratch_bytes,
+        eng_seq,
+        eng_seq_fresh_bytes,
+        eng_seq_aux_peak_bytes,
+        eng_seq_arena_bytes,
+        eng_seq_scratch_bytes,
         gbbs_aux_peak_bytes: gbbs.aux_peak_bytes,
         gbbs_fresh_bytes: gbbs.fresh_alloc_bytes,
     }
@@ -325,6 +372,16 @@ mod tests {
             assert!(warm.contains(&scratch), "{warm}");
             let budget = format!("\"scratch_budget_bytes\":{budget},");
             assert!(warm.contains(&budget), "{warm}");
+            let eng = recs
+                .iter()
+                .find(|r| r.contains("\"algo\":\"engine/seq\""))
+                .expect("engine/seq record missing");
+            assert!(eng.contains("\"fresh_alloc_bytes\":0,"), "{eng}");
+            assert!(eng.contains(&budget), "{eng}");
+            // The DFS tracks a real auxiliary peak (tags, stack, labels).
+            assert!(row.eng_seq_aux_peak_bytes > 0);
+            let peak = format!("\"aux_peak_bytes\":{},", row.eng_seq_aux_peak_bytes);
+            assert!(eng.contains(&peak), "{eng}");
         }
     }
 }

@@ -31,7 +31,10 @@ pub enum CcScheme {
     UfAsync,
 }
 
-/// Options for [`fast_bcc`].
+/// Options for [`fast_bcc`]. They steer only the FAST-BCC pipeline:
+/// [`fast_bcc`], [`BccEngine::solve_fast_bcc`](crate::BccEngine::solve_fast_bcc),
+/// and the engine's solves at budgets where it runs the pipeline; the
+/// DFS solve ([`crate::dfs`]) takes none of them.
 #[derive(Clone, Copy, Debug)]
 pub struct BccOpts {
     /// Connectivity scheme for both CC phases.
@@ -54,6 +57,13 @@ impl Default for BccOpts {
 }
 
 /// Wall-clock time per phase (the Fig. 5 series).
+///
+/// A [`crate::engine::BccEngine`] solve at a budget of at most
+/// [`crate::engine::DFS_MAX_BUDGET`] takes the DFS path ([`crate::dfs`])
+/// instead of the four phases: its traversal is reported
+/// under `rooting`, its labelling sweep under `last_cc`, and `first_cc`
+/// and `tagging` are zero, so [`total`](Self::total) still covers the
+/// solve.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Breakdown {
     pub first_cc: Duration,

@@ -7,11 +7,15 @@
 //! one edge) and drives the applications the paper's introduction cites —
 //! planarity testing, centrality computation, network reliability.
 //!
-//! Construction is a pure postprocessing pass over [`BccResult`]:
-//! `O(n)` work, `O(log n)` span.
+//! Construction is a pure postprocessing pass over [`BccResult`]. The
+//! forest itself (`forest`, which [`crate::query::BccIndex::new`] builds
+//! on) is `O(n)` work: one sequential pass for the cut flags, then
+//! parallel packs and parent lookups. [`block_cut_tree`] adds an edge
+//! list sorted with a sequential `sort_unstable`, so it costs
+//! `O(n log n)` work and span; the `O(n)` path is `BccIndex::new`.
 
 use crate::algo::BccResult;
-use crate::postprocess::bcc_membership_counts;
+use crate::postprocess::cut_flags;
 use fastbcc_graph::{NONE, V};
 use fastbcc_primitives::pack::{pack_index, pack_map};
 use fastbcc_primitives::par::par_for;
@@ -127,11 +131,12 @@ pub(crate) struct Forest {
     pub parent: Vec<u32>,
 }
 
-/// Derive the [`Forest`] from a BCC result: `O(n)` work, `O(log n)` span.
+/// Derive the [`Forest`] from a BCC result: `O(n)` work (the cut flags
+/// are one sequential pass, the rest `O(log n)` span).
 pub(crate) fn forest(r: &BccResult) -> Forest {
     let n = r.labels.len();
-    let counts = bcc_membership_counts(r);
-    let cuts: Vec<V> = pack_index(n, |v| counts[v] >= 2);
+    let cut = cut_flags(r);
+    let cuts: Vec<V> = pack_index(n, |v| cut[v]);
     let blocks: Vec<u32> = pack_index(n, |l| r.is_bcc_label(l as u32));
     let (nb, nc) = (blocks.len(), cuts.len());
 
@@ -180,7 +185,8 @@ pub(crate) fn forest(r: &BccResult) -> Forest {
     }
 }
 
-/// Build the block–cut forest from a BCC result.
+/// Build the block–cut forest from a BCC result: `O(n log n)` work and
+/// span for the sorted edge list.
 pub fn block_cut_tree(r: &BccResult) -> BlockCutTree {
     let Forest {
         blocks,

@@ -1,7 +1,9 @@
 //! Batch-dynamic BCC maintenance: [`BccEngine::apply_batch`].
 //!
-//! A full [`BccEngine::solve`] re-derives the spanning forest, Euler tour,
-//! tags, and skeleton connectivity from scratch. When consecutive graph
+//! A full [`BccEngine::solve`] re-derives the spanning forest, tags and
+//! labels from scratch (one DFS up to [`crate::engine::DFS_MAX_BUDGET`]
+//! workers, the FAST-BCC pipeline above it; both set up the same
+//! representation). When consecutive graph
 //! versions differ by a small edge batch, almost all of that work re-derives
 //! what is already known. `apply_batch` instead maintains the engine's
 //! `O(n)` BCC representation (`labels` / `head` / `label_count` plus the
@@ -490,15 +492,20 @@ impl BccEngine {
                 SUB_ARC_CAP,
                 opts,
             ));
-            // Two throwaway solves settle the lazily sized tables at full
-            // region scale: the circulant (one giant block, arc count at
-            // the region budget — deterministic, unlike a sampled
-            // generator, so it never dedupes below the target) covers the
-            // m-scaled edge arrays, and the path (`warm_n - 1` single-edge
-            // blocks) covers everything scaled by block or articulation
-            // counts, which the single-block circulant leaves cold.
-            sub.solve(&warm_circulant(warm_n, warm_arcs));
-            sub.solve(&fastbcc_graph::generators::classic::path(warm_n));
+            // Region sub-solves take the DFS up to `DFS_MAX_BUDGET` and the
+            // pipeline above it, so warm both. Two pipeline solves settle its lazily
+            // sized tables at full region scale: the circulant (one giant
+            // block, arc count at the region budget — deterministic,
+            // unlike a sampled generator, so it never dedupes below the
+            // target) covers the m-scaled edge arrays, and the path
+            // (`warm_n - 1` single-edge blocks) covers everything scaled
+            // by block or articulation counts, which the single-block
+            // circulant leaves cold. The DFS scratch is `O(n)`, so one
+            // solve at region size sizes it.
+            let warm_path = fastbcc_graph::generators::classic::path(warm_n);
+            sub.solve_fast_bcc(&warm_circulant(warm_n, warm_arcs));
+            sub.solve_fast_bcc(&warm_path);
+            sub.solve_dfs(&warm_path);
             self.dynamic.sub = Some(sub);
         }
         self.solve(g)
@@ -1218,6 +1225,7 @@ impl BccEngine {
 mod tests {
     use super::*;
     use crate::algo::{fast_bcc, BccOpts};
+    use crate::engine::DFS_MAX_BUDGET;
     use crate::postprocess::{articulation_points, bridges, canonical_bccs};
     use fastbcc_graph::generators::classic::*;
     use fastbcc_graph::generators::{grid2d, rmat};
@@ -1445,6 +1453,16 @@ mod tests {
 
     #[test]
     fn random_batches_match_fresh_solves() {
+        // Up to `DFS_MAX_BUDGET` the result is DFS-initialised and region
+        // sub-solves take the DFS (sequentially at 1, beside parallel
+        // batch passes at the cut-over); one worker past it runs the
+        // pipeline for both.
+        for budget in [1, DFS_MAX_BUDGET, DFS_MAX_BUDGET + 1] {
+            fastbcc_primitives::with_threads(budget, random_batches_round);
+        }
+    }
+
+    fn random_batches_round() {
         for (gi, g0) in [
             rmat(8, 700, 3),
             grid2d(14, 11, false),
@@ -1517,64 +1535,75 @@ mod tests {
         fn incremental_batches_match_fresh_solves(
             (n, init, script) in arb_scripted_graph(40, 90)
         ) {
-            let g0 = fastbcc_graph::builder::from_edges(n, &init);
-            let mut live: Vec<(V, V)> = g0.iter_edges().collect();
-            let mut e = BccEngine::new(BccOpts::default());
-            e.dynamic.churn_frac = Some(1.0);
-            e.attach(&g0);
-            for (bi, (adds, del_picks)) in script.iter().enumerate() {
-                let mut dels: Vec<(V, V)> = del_picks
-                    .iter()
-                    .filter(|_| !live.is_empty())
-                    .map(|&i| live[i % live.len()])
-                    .collect();
-                dels.sort_unstable();
-                dels.dedup();
-                e.apply_batch(adds, &dels);
-                live.retain(|x| !dels.contains(x));
-                for &(a, b) in adds {
-                    let x = (a.min(b), a.max(b));
-                    if x.0 != x.1 && !live.contains(&x) {
-                        live.push(x);
-                    }
-                }
-                live.sort_unstable();
-                let report = e.last_apply_report().expect("batch ran");
-                let got: Vec<(V, V)> = e.graph().unwrap().iter_edges().collect();
-                assert_eq!(got, live, "edge mirror diverged at batch {bi}");
-                assert_matches_fresh(&e, &format!("batch {bi} ({report:?})"));
+            for budget in [1, DFS_MAX_BUDGET, DFS_MAX_BUDGET + 1] {
+                fastbcc_primitives::with_threads(budget, || run_ungated(n, &init, &script));
             }
+        }
+    }
+
+    /// One scripted run with the churn gate off, checked after every batch.
+    fn run_ungated(n: usize, init: &[(V, V)], script: &Script) {
+        let g0 = fastbcc_graph::builder::from_edges(n, init);
+        let mut live: Vec<(V, V)> = g0.iter_edges().collect();
+        let mut e = BccEngine::new(BccOpts::default());
+        e.dynamic.churn_frac = Some(1.0);
+        e.attach(&g0);
+        for (bi, (adds, del_picks)) in script.iter().enumerate() {
+            let mut dels: Vec<(V, V)> = del_picks
+                .iter()
+                .filter(|_| !live.is_empty())
+                .map(|&i| live[i % live.len()])
+                .collect();
+            dels.sort_unstable();
+            dels.dedup();
+            e.apply_batch(adds, &dels);
+            live.retain(|x| !dels.contains(x));
+            for &(a, b) in adds {
+                let x = (a.min(b), a.max(b));
+                if x.0 != x.1 && !live.contains(&x) {
+                    live.push(x);
+                }
+            }
+            live.sort_unstable();
+            let report = e.last_apply_report().expect("batch ran");
+            let got: Vec<(V, V)> = e.graph().unwrap().iter_edges().collect();
+            assert_eq!(got, live, "edge mirror diverged at batch {bi}");
+            assert_matches_fresh(&e, &format!("batch {bi} ({report:?})"));
         }
     }
 
     #[test]
     fn warm_incremental_batches_allocate_nothing() {
-        fastbcc_primitives::with_threads(1, || {
-            let g = grid2d(40, 25, false);
-            let mut e = BccEngine::new(BccOpts::default());
-            e.attach(&g);
-            let mut seed = 0x5EEDu64;
-            let mut rng = move || {
-                seed ^= seed << 13;
-                seed ^= seed >> 7;
-                seed ^= seed << 17;
-                seed
-            };
-            let mut warm_rounds = 0;
-            for round in 0..14 {
-                let g = e.graph().unwrap();
-                let n = g.n() as u64;
-                let live: Vec<(V, V)> = g.iter_edges().collect();
-                let dels = vec![live[(rng() % live.len() as u64) as usize]];
-                let adds = vec![((rng() % n) as V, (rng() % n) as V)];
-                let fresh = e.apply_batch(&adds, &dels).fresh_alloc_bytes;
-                let rep = e.last_apply_report().unwrap();
-                if rep.incremental && round >= 6 {
-                    assert_eq!(fresh, 0, "warm incremental batch allocated (round {round})");
-                    warm_rounds += 1;
-                }
+        for budget in [1, DFS_MAX_BUDGET, DFS_MAX_BUDGET + 1] {
+            fastbcc_primitives::with_threads(budget, warm_batches_round);
+        }
+    }
+
+    fn warm_batches_round() {
+        let g = grid2d(40, 25, false);
+        let mut e = BccEngine::new(BccOpts::default());
+        e.attach(&g);
+        let mut seed = 0x5EEDu64;
+        let mut rng = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        let mut warm_rounds = 0;
+        for round in 0..14 {
+            let g = e.graph().unwrap();
+            let n = g.n() as u64;
+            let live: Vec<(V, V)> = g.iter_edges().collect();
+            let dels = vec![live[(rng() % live.len() as u64) as usize]];
+            let adds = vec![((rng() % n) as V, (rng() % n) as V)];
+            let fresh = e.apply_batch(&adds, &dels).fresh_alloc_bytes;
+            let rep = e.last_apply_report().unwrap();
+            if rep.incremental && round >= 6 {
+                assert_eq!(fresh, 0, "warm incremental batch allocated (round {round})");
+                warm_rounds += 1;
             }
-            assert!(warm_rounds > 0, "no warm incremental rounds measured");
-        });
+        }
+        assert!(warm_rounds > 0, "no warm incremental rounds measured");
     }
 }

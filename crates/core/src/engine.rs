@@ -1,4 +1,14 @@
-//! The scratch-pooled FAST-BCC engine.
+//! The scratch-pooled BCC engine.
+//!
+//! **Which path runs.** [`BccEngine::solve`], [`BccEngine::solve_view`],
+//! [`BccEngine::attach`] and everything `apply_batch` re-solves dispatch
+//! on the thread budget, with no flag: up to [`DFS_MAX_BUDGET`] workers
+//! (`fastbcc_primitives::num_threads() <= 2`) they run one iterative DFS
+//! ([`crate::dfs`]), which measured faster there than the pipeline's
+//! span; above it they run the four-phase FAST-BCC pipeline (paper
+//! Alg. 1). Both write the same [`BccResult`] representation.
+//! [`BccEngine::solve_fast_bcc`] and [`crate::fast_bcc`] always run the
+//! pipeline, which is what the paper's experiments measure.
 //!
 //! [`fast_bcc`](crate::fast_bcc) answers one query and throws every
 //! intermediate array away. A service answering many BCC queries over
@@ -15,8 +25,9 @@
 //!   tagging `w1`/`w2` buffers (`crate::tags::TagScratch`);
 //! * the engine's result slot recycles the output arrays too (labels,
 //!   heads, label counts, and the five tag arrays);
-//! * [`BccEngine::solve`] runs Alg. 1 end to end writing only into those
-//!   borrowed buffers. The first solve sizes everything; subsequent solves
+//! * every solve writes only into those borrowed buffers (the DFS path
+//!   uses the tag arrays, the result slot, and its own stack and
+//!   pre-order). The first solve sizes everything; subsequent solves
 //!   on same-shaped inputs perform **zero** major-array allocations, which
 //!   the [`SpaceTracker`] inside the workspace verifies: its `fresh()`
 //!   counter tallies capacity growth per solve and lands on 0 for a
@@ -29,13 +40,14 @@
 //! per-call block tables inside the primitives (block bounds, pack
 //! offsets, scan block sums, counting-sort histograms and cursors, the
 //! radix-sort ping-pong passes on huge key spaces). Measured with a
-//! counting allocator on the calling thread, a warm solve makes 709
-//! heap allocations on `rmat(14, 60000, 3)` and 631 on `path(100000)`
-//! at budget 1 (exact, repeated run over run; pinned by
+//! counting allocator on the calling thread, a warm pipeline solve makes
+//! 709 heap allocations on `rmat(14, 60000, 3)` and 631 on
+//! `path(100000)` at budget 1 (exact, repeated run over run; pinned by
 //! `tests/warm_alloc_count.rs`), and 1,257 on `rmat(18, 4M, 3)` at
-//! budget 1, about 2,800 at budget 2. `fresh()` answers the narrower
-//! question the zero-allocation gate poses: did any *pooled* buffer (the
-//! major arrays listed above) have to grow this solve. The frontier machinery
+//! budget 1, about 2,800 at budget 2. A warm DFS solve makes none.
+//! `fresh()` answers the narrower question the zero-allocation gate
+//! poses: did any *pooled* buffer (the major arrays listed above) have to
+//! grow this solve. The frontier machinery
 //! (per-round frontier double-buffer, start-round grouping, and the
 //! shared pre-counted edgeMap claim buffer with its dense bitmaps) *is*
 //! pooled: those buffers live in the scratches, are reserved to bounds
@@ -44,6 +56,7 @@
 //! `fresh() == 0` holds on warm solves at any thread budget.
 
 use crate::algo::{assign_heads_in, BccOpts, BccResult, Breakdown, CcScheme};
+use crate::dfs::{dfs_labels_in, dfs_tags_in, DfsScratch};
 use crate::space::SpaceTracker;
 use crate::tags::{compute_tags_in, TagScratch};
 use fastbcc_connectivity::cc::{ldd_uf_jtb_filtered_in, uf_async_filtered_in, CcScratch};
@@ -53,8 +66,8 @@ use fastbcc_ett::{root_forest_in, EttScratch, RootedForest};
 use fastbcc_graph::{Graph, GraphView, V};
 use std::time::Instant;
 
-/// Every reusable per-phase buffer of one FAST-BCC solve, sized lazily on
-/// first use and pooled across solves.
+/// Every reusable per-phase buffer of one solve (either path), sized
+/// lazily on first use and pooled across solves.
 #[derive(Default)]
 pub struct Workspace {
     /// LDD scratch + concurrent union–find, shared by First-CC and Last-CC.
@@ -73,6 +86,8 @@ pub struct Workspace {
     ett: EttScratch,
     /// Tagging `w1`/`w2` vertex- and tour-ordered buffers.
     tag: TagScratch,
+    /// Stack and pre-order of the budget-1 DFS solve.
+    dfs: DfsScratch,
     /// Live/peak/fresh auxiliary-space accounting for the current solve.
     space: SpaceTracker,
 }
@@ -106,6 +121,7 @@ impl Workspace {
         ws.rf.tour_vertex.reserve(2 * n);
         ws.ett.reserve(n);
         ws.tag.reserve(n);
+        ws.dfs.reserve(n);
         ws
     }
 
@@ -126,6 +142,7 @@ impl Workspace {
             + self.rf.heap_bytes()
             + self.ett.heap_bytes()
             + self.tag.heap_bytes()
+            + self.dfs.heap_bytes()
     }
 }
 
@@ -134,8 +151,8 @@ pub(crate) fn result_heap_bytes(r: &BccResult) -> usize {
     4 * (r.labels.capacity() + r.head.capacity() + r.label_count.capacity()) + r.tags.heap_bytes()
 }
 
-/// A reusable FAST-BCC solver: one [`Workspace`] plus a recycled result
-/// slot. Construct once, call [`solve`](Self::solve) per graph.
+/// A reusable BCC solver: one [`Workspace`] plus a recycled result slot.
+/// Construct once, call [`solve`](Self::solve) per graph.
 ///
 /// ```
 /// use fastbcc_core::engine::BccEngine;
@@ -213,10 +230,10 @@ impl BccEngine {
         &self.ws
     }
 
-    /// Solve and move the result out, consuming the engine — the one-shot
-    /// path behind [`crate::fast_bcc`].
+    /// Run the FAST-BCC pipeline and move the result out, consuming the
+    /// engine — the one-shot path behind [`crate::fast_bcc`].
     pub fn solve_into(mut self, g: &Graph) -> BccResult {
-        self.solve(g);
+        self.run(g, None, Path::FastBcc);
         self.result
     }
 
@@ -238,20 +255,22 @@ impl BccEngine {
         ix
     }
 
-    /// Run FAST-BCC on `g`, reusing every pooled buffer. The returned
+    /// Solve `g`, reusing every pooled buffer: the DFS solve
+    /// ([`crate::dfs`]) when the thread budget is at most
+    /// [`DFS_MAX_BUDGET`], the FAST-BCC pipeline otherwise. The returned
     /// reference is valid until the next `solve`; clone fields out if you
     /// need them to outlive it.
     pub fn solve(&mut self, g: &Graph) -> &BccResult {
-        self.solve_impl(g, None)
+        self.run(g, None, Path::for_budget())
     }
 
-    /// Run FAST-BCC on any [`GraphView`] backend — a flat [`Graph`], a
-    /// [`fastbcc_graph::CompressedGraph`], or an mmap-backed
-    /// [`fastbcc_graph::MappedGraph`] variant — reusing every pooled
-    /// buffer exactly like [`solve`](Self::solve). Compressed and mapped
-    /// backends are decoded per-block inside the traversal hot loops;
-    /// no flat neighbor arrays are ever materialized, so the auxiliary
-    /// footprint stays `O(n)` regardless of backend.
+    /// [`solve`](Self::solve) on any [`GraphView`] backend — a flat
+    /// [`Graph`], a [`fastbcc_graph::CompressedGraph`], or an mmap-backed
+    /// [`fastbcc_graph::MappedGraph`] variant — with the same dispatch
+    /// and the same pooled buffers. Compressed and mapped backends are
+    /// decoded per-block inside the traversal hot loops; no flat neighbor
+    /// arrays are ever materialized, so the auxiliary footprint stays
+    /// `O(n)` regardless of backend.
     ///
     /// Because the engine does not own or copy the view, any previously
     /// [`attach`](Self::attach)ed batch-dynamic graph is **detached**:
@@ -259,7 +278,16 @@ impl BccEngine {
     /// `attach` panics instead of silently evolving a stale CSR.
     pub fn solve_view<G: GraphView>(&mut self, g: &G) -> &BccResult {
         self.dynamic.detach_graph();
-        self.solve_impl(g, None)
+        self.run(g, None, Path::for_budget())
+    }
+
+    /// Run the paper's four-phase FAST-BCC pipeline (First-CC, Rooting,
+    /// Tagging, Last-CC) on any backend at every thread budget, 1
+    /// included — what the paper's experiments measure. Detaches a
+    /// batch-dynamic graph like [`solve_view`](Self::solve_view).
+    pub fn solve_fast_bcc<G: GraphView>(&mut self, g: &G) -> &BccResult {
+        self.dynamic.detach_graph();
+        self.run(g, None, Path::FastBcc)
     }
 
     /// The engine's current result — whatever the most recent
@@ -271,25 +299,29 @@ impl BccEngine {
         &self.result
     }
 
-    /// [`solve`](Self::solve) with a forced spanning-tree root: after
-    /// First-CC, `root`'s component labels are remapped so `root` becomes
-    /// its own representative, which [`root_forest_in`] then picks as the
-    /// tree root. Used by the batch-dynamic region re-solver
+    /// [`solve`](Self::solve) with a forced spanning-tree root: the DFS
+    /// starts there, and the pipeline remaps `root`'s First-CC component
+    /// label to `root` so [`root_forest_in`] picks it as the tree root.
+    /// Used by the batch-dynamic region re-solver
     /// ([`Self::apply_batch`]), which must anchor a sub-solve at a block's
     /// head so the splice keeps the global orientation.
     pub(crate) fn solve_with_root(&mut self, g: &Graph, root: V) -> &BccResult {
-        self.solve_impl(g, Some(root))
+        self.run(g, Some(root), Path::for_budget())
     }
 
-    fn solve_impl<G: GraphView>(&mut self, g: &G, force_root: Option<V>) -> &BccResult {
-        let n = g.n();
-        let opts = self.opts;
-        let ws = &mut self.ws;
-        let res = &mut self.result;
-        let heap_before = ws.heap_bytes() + result_heap_bytes(res);
-        ws.space.begin_solve();
+    /// Run the DFS solve whatever the budget (the region sub-engine's
+    /// warm-up at [`attach`](Self::attach)).
+    pub(crate) fn solve_dfs(&mut self, g: &Graph) -> &BccResult {
+        self.run(g, None, Path::Dfs)
+    }
 
-        if n == 0 {
+    fn run<G: GraphView>(&mut self, g: &G, force_root: Option<V>, path: Path) -> &BccResult {
+        let n = g.n();
+        let heap_before = self.ws.heap_bytes() + result_heap_bytes(&self.result);
+        self.ws.space.begin_solve();
+        let res = &mut self.result;
+
+        let (num_bcc, num_cc, breakdown) = if n == 0 {
             res.labels.clear();
             res.head.clear();
             res.label_count.clear();
@@ -301,133 +333,211 @@ impl BccEngine {
             res.tags.last.clear();
             res.tags.low.clear();
             res.tags.high.clear();
-            res.num_bcc = 0;
-            res.num_cc = 0;
-            res.breakdown = Breakdown::default();
-            res.aux_peak_bytes = 0;
-            res.fresh_alloc_bytes = 0;
-            res.arena_bytes = ws.cc.arena_bytes();
-            return &self.result;
-        }
-
-        let ldd_opts = LddOpts {
-            beta: None,
-            local_search: opts.local_search,
-            seed: opts.seed,
-            ..Default::default()
-        };
-
-        // ---- Step 1: First-CC (spanning forest) -------------------------
-        let t0 = Instant::now();
-        let all_edges = |_: V, _: V| true;
-        let num_cc = match opts.scheme {
-            CcScheme::LddUfJtb => ldd_uf_jtb_filtered_in(
-                g,
-                ldd_opts,
-                &all_edges,
-                &mut ws.cc,
-                &mut ws.first_labels,
-                Some(&mut ws.forest),
-            ),
-            CcScheme::UfAsync => uf_async_filtered_in(
-                g,
-                &all_edges,
-                &mut ws.cc,
-                &mut ws.first_labels,
-                Some(&mut ws.forest),
-            ),
-        };
-        let first_cc = t0.elapsed();
-        debug_assert_eq!(ws.forest.len(), n - num_cc);
-        if let Some(r) = force_root {
-            // Remap `r`'s component label to `r` itself. No other vertex
-            // can already carry label `r` (labels are component reps), so
-            // this only moves the root choice, never merges components.
-            let rep = ws.first_labels[r as usize];
-            if rep != r {
-                for v in 0..n {
-                    if ws.first_labels[v] == rep {
-                        ws.first_labels[v] = r;
-                    }
-                }
-            }
-        }
-        // LDD cluster/parent arrays + UF + labels + forest edges, plus the
-        // shared frontier-staging buffers the connectivity phases claim
-        // through (edgeMap slots, dense bitmaps, local-search stacks).
-        ws.space
-            .alloc(4 * n * 3 + 4 * n + 8 * ws.forest.len() + ws.cc.arena_bytes());
-
-        // ---- Step 2: Rooting (ETT) --------------------------------------
-        let t1 = Instant::now();
-        forest_adjacency_in(n, &ws.forest, &mut ws.tree_offsets, &mut ws.tree_arcs);
-        let tree = Graph::from_raw_parts(
-            std::mem::take(&mut ws.tree_offsets),
-            std::mem::take(&mut ws.tree_arcs),
-        );
-        root_forest_in(
-            &tree,
-            &ws.first_labels,
-            opts.seed ^ 0xE77,
-            &mut ws.rf,
-            &mut ws.ett,
-        );
-        let rooting = t1.elapsed();
-        ws.space.alloc(tree.bytes() + ws.rf.bytes());
-        // Hand the forest CSR allocations back to the pool.
-        let (tree_offsets, tree_arcs) = tree.into_raw_parts();
-        ws.tree_offsets = tree_offsets;
-        ws.tree_arcs = tree_arcs;
-
-        // ---- Step 3: Tagging --------------------------------------------
-        let t2 = Instant::now();
-        let table_bytes = compute_tags_in(g, &ws.rf, &mut res.tags, &mut ws.tag);
-        let tagging = t2.elapsed();
-        ws.space.alloc(res.tags.bytes() + table_bytes);
-        ws.space.free(table_bytes); // sparse tables freed inside compute_tags_in
-
-        // ---- Step 4: Last-CC on the implicit skeleton -------------------
-        let t3 = Instant::now();
-        let tags = &res.tags;
-        let skeleton_filter = |u: V, v: V| tags.in_skeleton(u, v);
-        match opts.scheme {
-            CcScheme::LddUfJtb => ldd_uf_jtb_filtered_in(
-                g,
-                LddOpts {
-                    seed: opts.seed ^ 0x1A57,
-                    ..ldd_opts
-                },
-                &skeleton_filter,
-                &mut ws.cc,
-                &mut res.labels,
-                None,
-            ),
-            CcScheme::UfAsync => {
-                uf_async_filtered_in(g, &skeleton_filter, &mut ws.cc, &mut res.labels, None)
+            (0, 0, Breakdown::default())
+        } else {
+            match path {
+                Path::Dfs => dfs_solve(g, force_root, &mut self.ws, res),
+                Path::FastBcc => fast_bcc_solve(g, force_root, self.opts, &mut self.ws, res),
             }
         };
-        ws.space.alloc(4 * n * 3);
 
-        let num_bcc = assign_heads_in(&res.labels, &res.tags, &mut res.head, &mut res.label_count);
-        let last_cc = t3.elapsed();
-        ws.space.alloc(8 * n);
-
+        let ws = &mut self.ws;
         let heap_after = ws.heap_bytes() + result_heap_bytes(res);
         ws.space.note_fresh(heap_after.saturating_sub(heap_before));
-
         res.num_bcc = num_bcc;
         res.num_cc = num_cc;
-        res.breakdown = Breakdown {
-            first_cc,
-            rooting,
-            tagging,
-            last_cc,
-        };
+        res.breakdown = breakdown;
         res.aux_peak_bytes = ws.space.peak();
         res.fresh_alloc_bytes = ws.space.fresh();
         res.arena_bytes = ws.cc.arena_bytes();
         &self.result
     }
+}
+
+/// Which solve [`BccEngine::run`] takes.
+#[derive(Clone, Copy)]
+enum Path {
+    /// One iterative DFS ([`crate::dfs`]).
+    Dfs,
+    /// The four-phase FAST-BCC pipeline (paper Alg. 1).
+    FastBcc,
+}
+
+/// The largest thread budget at which [`BccEngine::solve`] (and every
+/// call that dispatches like it) runs the DFS instead of the pipeline.
+///
+/// Measured on a 2-vCPU host: the warm DFS at budget 1 beat the warm
+/// pipeline at budget 2 on all 20 `table2 --scale 1` graphs (2.2× to 17×,
+/// geomean 4.8×), and perfbench's `powerlaw` static phases at budget 2
+/// took 0.18 s on the DFS against 0.47 s on the pipeline. Budgets above 2
+/// are unmeasured, so they keep the pipeline.
+pub const DFS_MAX_BUDGET: usize = 2;
+
+impl Path {
+    /// The DFS up to [`DFS_MAX_BUDGET`], the pipeline above it.
+    fn for_budget() -> Self {
+        if fastbcc_primitives::num_threads() <= DFS_MAX_BUDGET {
+            Path::Dfs
+        } else {
+            Path::FastBcc
+        }
+    }
+}
+
+/// The DFS solve of a non-empty graph: traversal under
+/// [`Breakdown::rooting`], the labelling sweep under
+/// [`Breakdown::last_cc`]. Returns `(num_bcc, num_cc, breakdown)`.
+fn dfs_solve<G: GraphView>(
+    g: &G,
+    force_root: Option<V>,
+    ws: &mut Workspace,
+    res: &mut BccResult,
+) -> (usize, usize, Breakdown) {
+    let t0 = Instant::now();
+    let num_cc = dfs_tags_in(g, force_root, &mut res.tags, &mut ws.dfs);
+    let rooting = t0.elapsed();
+    ws.space.alloc(res.tags.bytes() + ws.dfs.heap_bytes());
+
+    let t1 = Instant::now();
+    let num_bcc = dfs_labels_in(
+        &res.tags,
+        &ws.dfs,
+        &mut res.labels,
+        &mut res.head,
+        &mut res.label_count,
+    );
+    let last_cc = t1.elapsed();
+    ws.space.alloc(12 * g.n());
+    let breakdown = Breakdown {
+        rooting,
+        last_cc,
+        ..Breakdown::default()
+    };
+    (num_bcc, num_cc, breakdown)
+}
+
+/// FAST-BCC (paper Alg. 1) on a non-empty graph, phase by phase into the
+/// pooled buffers. Returns `(num_bcc, num_cc, breakdown)`.
+fn fast_bcc_solve<G: GraphView>(
+    g: &G,
+    force_root: Option<V>,
+    opts: BccOpts,
+    ws: &mut Workspace,
+    res: &mut BccResult,
+) -> (usize, usize, Breakdown) {
+    let n = g.n();
+    let ldd_opts = LddOpts {
+        beta: None,
+        local_search: opts.local_search,
+        seed: opts.seed,
+        ..Default::default()
+    };
+
+    // ---- Step 1: First-CC (spanning forest) -------------------------
+    let t0 = Instant::now();
+    let all_edges = |_: V, _: V| true;
+    let num_cc = match opts.scheme {
+        CcScheme::LddUfJtb => ldd_uf_jtb_filtered_in(
+            g,
+            ldd_opts,
+            &all_edges,
+            &mut ws.cc,
+            &mut ws.first_labels,
+            Some(&mut ws.forest),
+        ),
+        CcScheme::UfAsync => uf_async_filtered_in(
+            g,
+            &all_edges,
+            &mut ws.cc,
+            &mut ws.first_labels,
+            Some(&mut ws.forest),
+        ),
+    };
+    let first_cc = t0.elapsed();
+    debug_assert_eq!(ws.forest.len(), n - num_cc);
+    if let Some(r) = force_root {
+        // Remap `r`'s component label to `r` itself. No other vertex
+        // can already carry label `r` (labels are component reps), so
+        // this only moves the root choice, never merges components.
+        let rep = ws.first_labels[r as usize];
+        if rep != r {
+            for v in 0..n {
+                if ws.first_labels[v] == rep {
+                    ws.first_labels[v] = r;
+                }
+            }
+        }
+    }
+    // LDD cluster/parent arrays + UF + labels + forest edges, plus the
+    // shared frontier-staging buffers the connectivity phases claim
+    // through (edgeMap slots, dense bitmaps, local-search stacks).
+    ws.space
+        .alloc(4 * n * 3 + 4 * n + 8 * ws.forest.len() + ws.cc.arena_bytes());
+
+    // ---- Step 2: Rooting (ETT) --------------------------------------
+    let t1 = Instant::now();
+    forest_adjacency_in(n, &ws.forest, &mut ws.tree_offsets, &mut ws.tree_arcs);
+    let tree = Graph::from_raw_parts(
+        std::mem::take(&mut ws.tree_offsets),
+        std::mem::take(&mut ws.tree_arcs),
+    );
+    root_forest_in(
+        &tree,
+        &ws.first_labels,
+        opts.seed ^ 0xE77,
+        &mut ws.rf,
+        &mut ws.ett,
+    );
+    let rooting = t1.elapsed();
+    ws.space.alloc(tree.bytes() + ws.rf.bytes());
+    // Hand the forest CSR allocations back to the pool.
+    let (tree_offsets, tree_arcs) = tree.into_raw_parts();
+    ws.tree_offsets = tree_offsets;
+    ws.tree_arcs = tree_arcs;
+
+    // ---- Step 3: Tagging --------------------------------------------
+    let t2 = Instant::now();
+    let table_bytes = compute_tags_in(g, &ws.rf, &mut res.tags, &mut ws.tag);
+    let tagging = t2.elapsed();
+    ws.space.alloc(res.tags.bytes() + table_bytes);
+    ws.space.free(table_bytes); // sparse tables freed inside compute_tags_in
+
+    // ---- Step 4: Last-CC on the implicit skeleton -------------------
+    let t3 = Instant::now();
+    let tags = &res.tags;
+    let skeleton_filter = |u: V, v: V| tags.in_skeleton(u, v);
+    match opts.scheme {
+        CcScheme::LddUfJtb => ldd_uf_jtb_filtered_in(
+            g,
+            LddOpts {
+                seed: opts.seed ^ 0x1A57,
+                ..ldd_opts
+            },
+            &skeleton_filter,
+            &mut ws.cc,
+            &mut res.labels,
+            None,
+        ),
+        CcScheme::UfAsync => {
+            uf_async_filtered_in(g, &skeleton_filter, &mut ws.cc, &mut res.labels, None)
+        }
+    };
+    ws.space.alloc(4 * n * 3);
+
+    let num_bcc = assign_heads_in(&res.labels, &res.tags, &mut res.head, &mut res.label_count);
+    let last_cc = t3.elapsed();
+    ws.space.alloc(8 * n);
+
+    (
+        num_bcc,
+        num_cc,
+        Breakdown {
+            first_cc,
+            rooting,
+            tagging,
+            last_cc,
+        },
+    )
 }
 
 #[cfg(test)]
@@ -488,8 +598,8 @@ mod tests {
             let baseline = fast_bcc(&g, BccOpts::default());
             let mut engine = BccEngine::new(BccOpts::default());
             // Solve a different graph in between to dirty the buffers.
-            engine.solve(&windmill(8));
-            let r = engine.solve(&g);
+            engine.solve_fast_bcc(&windmill(8));
+            let r = engine.solve_fast_bcc(&g);
             assert_eq!(r.labels, baseline.labels);
             assert_eq!(r.head, baseline.head);
             assert_eq!(r.label_count, baseline.label_count);
@@ -498,6 +608,20 @@ mod tests {
             assert_eq!(r.tags.high, baseline.tags.high);
             assert_eq!(r.num_bcc, baseline.num_bcc);
         });
+    }
+
+    #[test]
+    fn solve_takes_the_dfs_up_to_the_cut_over() {
+        // The DFS reports no First-CC or tagging time; the pipeline
+        // always spends some on a non-empty graph.
+        let g = grid2d(30, 20, true);
+        for budget in [1, DFS_MAX_BUDGET, DFS_MAX_BUDGET + 1] {
+            let b = with_threads(budget, || {
+                BccEngine::new(BccOpts::default()).solve(&g).breakdown
+            });
+            let dfs = b.first_cc.is_zero() && b.tagging.is_zero();
+            assert_eq!(dfs, budget <= DFS_MAX_BUDGET, "budget {budget}: {b:?}");
+        }
     }
 
     #[test]

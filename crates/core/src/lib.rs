@@ -19,6 +19,11 @@
 //!    tags — [`skeleton`]), then assign a component head per label
 //!    ([`algo`]).
 //!
+//! At thread budgets up to [`engine::DFS_MAX_BUDGET`] (2) the [`engine`]
+//! swaps the four steps for one iterative DFS ([`dfs`]) that writes the
+//! same representation; the pipeline stays reachable at every budget
+//! through [`BccEngine::solve_fast_bcc`] and [`fast_bcc`].
+//!
 //! The output is the paper's `O(n)` BCC representation: a label per vertex
 //! plus a *component head* per label; a BCC is one label class together
 //! with its head ([`postprocess`] derives articulation points, bridges,
@@ -27,6 +32,7 @@
 
 pub mod algo;
 pub mod block_cut_tree;
+pub mod dfs;
 pub mod dynamic;
 pub mod engine;
 pub mod postprocess;

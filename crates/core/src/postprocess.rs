@@ -38,6 +38,26 @@ pub fn canonical_bccs(r: &BccResult) -> Vec<Vec<V>> {
     out
 }
 
+/// Per vertex, whether it belongs to ≥ 2 BCCs, i.e. is an articulation
+/// point. One plain pass: a vertex is in its own label class (when that
+/// is a real BCC) and in every label it heads, and a saturating `u8`
+/// tally of both is all the cut test needs.
+pub(crate) fn cut_flags(r: &BccResult) -> Vec<bool> {
+    let n = r.labels.len();
+    let mut seen = vec![0u8; n];
+    for v in 0..n {
+        if r.is_bcc_label(r.labels[v]) {
+            seen[v] = seen[v].saturating_add(1);
+        }
+        // A headed label always has an edge, so it is a BCC label.
+        let h = r.head[v];
+        if h != NONE {
+            seen[h as usize] = seen[h as usize].saturating_add(1);
+        }
+    }
+    seen.into_iter().map(|c| c >= 2).collect()
+}
+
 /// Number of BCCs each vertex belongs to (0 for isolated vertices).
 pub fn bcc_membership_counts(r: &BccResult) -> Vec<u32> {
     let n = r.labels.len();
@@ -64,8 +84,8 @@ pub fn bcc_membership_counts(r: &BccResult) -> Vec<u32> {
 /// Articulation points: vertices belonging to ≥ 2 BCCs (Lemma 4.4 ties
 /// this to being a BCC head, but membership counting also handles roots).
 pub fn articulation_points(r: &BccResult) -> Vec<V> {
-    let counts = bcc_membership_counts(r);
-    pack_index(counts.len(), |v| counts[v] >= 2)
+    let cut = cut_flags(r);
+    pack_index(cut.len(), |v| cut[v])
 }
 
 /// Bridges: tree edges whose BCC is a single edge — label classes of size 1
@@ -182,6 +202,21 @@ mod tests {
         assert_eq!(c[0], 5); // center in all 5 triangles
         for v in 1..g.n() {
             assert_eq!(c[v], 1);
+        }
+    }
+
+    #[test]
+    fn cut_flags_match_membership_counts() {
+        for g in [
+            windmill(5),
+            barbell(4, 2),
+            clique_chain(5, 4),
+            disjoint_union(&[&path(6), &cycle(4), &Graph::empty(2)]),
+        ] {
+            let r = result(&g);
+            let counts = bcc_membership_counts(&r);
+            let flags = cut_flags(&r);
+            assert!(counts.iter().zip(&flags).all(|(&c, &f)| f == (c >= 2)));
         }
     }
 

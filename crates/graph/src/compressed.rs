@@ -188,6 +188,19 @@ fn encoded_len(v: V, neighbors: &[V]) -> usize {
     len
 }
 
+/// Byte position where block `b` starts in a degree-`deg` stream: right
+/// after the header for block 0, else at the header's offset for `b`.
+#[inline]
+fn block_pos(deg: usize, bytes: &[u8], b: usize) -> usize {
+    let hl = header_len(deg);
+    if b == 0 {
+        hl
+    } else {
+        let at = (b - 1) * 4;
+        hl + u32::from_le_bytes([bytes[at], bytes[at + 1], bytes[at + 2], bytes[at + 3]]) as usize
+    }
+}
+
 /// Stream neighbors of `v` at local indices `lo..hi` out of its byte
 /// stream (`deg` = full degree, `bytes` = the vertex's stream). Jumps to
 /// the covering block via the header, decodes it from its head, and
@@ -203,14 +216,8 @@ pub(crate) fn decode_neighbors_in<F: FnMut(usize, u32)>(
     if lo >= hi {
         return;
     }
-    let hl = header_len(deg);
     let b0 = lo / BLOCK;
-    let mut pos = if b0 == 0 {
-        hl
-    } else {
-        let at = (b0 - 1) * 4;
-        hl + u32::from_le_bytes([bytes[at], bytes[at + 1], bytes[at + 2], bytes[at + 3]]) as usize
-    };
+    let mut pos = block_pos(deg, bytes, b0);
     let mut idx = b0 * BLOCK;
     let mut prev = 0u32;
     while idx < hi {
@@ -228,22 +235,30 @@ pub(crate) fn decode_neighbors_in<F: FnMut(usize, u32)>(
     }
 }
 
-/// Stream all neighbors of `v` in order until `f` returns `false`.
-pub(crate) fn decode_neighbors_while<F: FnMut(u32) -> bool>(
+/// Stream neighbors of `v` from local index `lo` on, calling
+/// `f(local_index, neighbor)` until it returns `false`. Like
+/// [`decode_neighbors_in`] it jumps to the block covering `lo`, so a
+/// resumed scan re-decodes at most that one block's prefix.
+pub(crate) fn decode_neighbors_from_while<F: FnMut(usize, u32) -> bool>(
     v: u32,
     deg: usize,
     bytes: &[u8],
+    lo: usize,
     mut f: F,
 ) {
-    let mut pos = header_len(deg);
+    if lo >= deg {
+        return;
+    }
+    let b0 = lo / BLOCK;
+    let mut pos = block_pos(deg, bytes, b0);
     let mut prev = 0u32;
-    for idx in 0..deg {
+    for idx in b0 * BLOCK..deg {
         let w = if idx.is_multiple_of(BLOCK) {
             (v as i64 + unzigzag(read_varint(bytes, &mut pos))) as u32
         } else {
             prev + read_varint(bytes, &mut pos) as u32
         };
-        if !f(w) {
+        if idx >= lo && !f(idx, w) {
             return;
         }
         prev = w;
@@ -446,8 +461,8 @@ impl CsrView for CompressedGraph {
     }
 
     #[inline]
-    fn neighbors_while<F: FnMut(u32) -> bool>(&self, v: u32, f: F) {
-        decode_neighbors_while(v, CsrView::degree(self, v), self.stream(v as usize), f);
+    fn neighbors_from_while<F: FnMut(usize, u32) -> bool>(&self, v: u32, lo: usize, f: F) {
+        decode_neighbors_from_while(v, CsrView::degree(self, v), self.stream(v as usize), lo, f);
     }
 }
 
@@ -491,6 +506,16 @@ mod tests {
                 stopped.len() < 3
             });
             assert_eq!(&stopped[..], &nbrs[..d.min(3)]);
+            // Resumed scans start mid-block and past block boundaries.
+            for lo in [0, d / 3, d.saturating_sub(1), d] {
+                let mut resumed = Vec::new();
+                cg.neighbors_from_while(v, lo, |j, w| {
+                    resumed.push((j, w));
+                    resumed.len() < 70
+                });
+                let want: Vec<_> = (lo..d.min(lo + 70)).map(|j| (j, nbrs[j])).collect();
+                assert_eq!(resumed, want, "vertex {v} resumed at {lo}");
+            }
         }
         // Every stream self-validates.
         for v in 0..g.n() {

@@ -255,11 +255,11 @@ impl CsrView for MappedCsr {
     }
 
     #[inline]
-    fn neighbors_while<F: FnMut(u32) -> bool>(&self, v: u32, mut f: F) {
+    fn neighbors_from_while<F: FnMut(usize, u32) -> bool>(&self, v: u32, lo: usize, mut f: F) {
         let offs = self.offsets();
-        let (lo, hi) = (offs[v as usize] as usize, offs[v as usize + 1] as usize);
-        for &w in &self.arcs()[lo..hi] {
-            if !f(w) {
+        let (base, end) = (offs[v as usize] as usize, offs[v as usize + 1] as usize);
+        for (j, &w) in self.arcs()[base + lo..end].iter().enumerate() {
+            if !f(lo + j, w) {
                 break;
             }
         }
@@ -348,11 +348,12 @@ impl CsrView for MappedCompressed {
     }
 
     #[inline]
-    fn neighbors_while<F: FnMut(u32) -> bool>(&self, v: u32, f: F) {
-        crate::compressed::decode_neighbors_while(
+    fn neighbors_from_while<F: FnMut(usize, u32) -> bool>(&self, v: u32, lo: usize, f: F) {
+        crate::compressed::decode_neighbors_from_while(
             v,
             CsrView::degree(self, v),
             self.stream(v as usize),
+            lo,
             f,
         );
     }
@@ -407,8 +408,8 @@ impl CsrView for MappedGraph {
     }
 
     #[inline]
-    fn neighbors_while<F: FnMut(u32) -> bool>(&self, v: u32, f: F) {
-        dispatch!(self, g => g.neighbors_while(v, f))
+    fn neighbors_from_while<F: FnMut(usize, u32) -> bool>(&self, v: u32, lo: usize, f: F) {
+        dispatch!(self, g => g.neighbors_from_while(v, lo, f))
     }
 }
 

@@ -119,9 +119,9 @@ impl CsrView for crate::csr::Graph {
     }
 
     #[inline]
-    fn neighbors_while<F: FnMut(u32) -> bool>(&self, v: u32, mut f: F) {
-        for &w in self.neighbors(v) {
-            if !f(w) {
+    fn neighbors_from_while<F: FnMut(usize, u32) -> bool>(&self, v: u32, lo: usize, mut f: F) {
+        for (j, &w) in self.neighbors(v)[lo..].iter().enumerate() {
+            if !f(lo + j, w) {
                 break;
             }
         }

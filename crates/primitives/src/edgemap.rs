@@ -82,9 +82,19 @@ pub trait CsrView: Sync {
     /// backends decode only the blocks covering the range.
     fn neighbors_in<F: FnMut(usize, u32)>(&self, v: u32, lo: usize, hi: usize, f: F);
 
+    /// Visit neighbors of `v` from local index `lo` on, in ascending
+    /// order, calling `f(local_index, neighbor)` until it returns `false`
+    /// (a resumable early-exit scan: a depth-first search resumes each
+    /// list where it stopped). Block-coded backends decode at most the
+    /// one block containing `lo` before reaching it.
+    fn neighbors_from_while<F: FnMut(usize, u32) -> bool>(&self, v: u32, lo: usize, f: F);
+
     /// Visit all neighbors of `v` in ascending local-index order until
     /// `f` returns `false` (the dense bottom-up early break).
-    fn neighbors_while<F: FnMut(u32) -> bool>(&self, v: u32, f: F);
+    #[inline]
+    fn neighbors_while<F: FnMut(u32) -> bool>(&self, v: u32, mut f: F) {
+        self.neighbors_from_while(v, 0, |_, w| f(w));
+    }
 
     /// Visit every neighbor of `v` as `f(neighbor)`.
     #[inline]
@@ -139,9 +149,10 @@ impl CsrView for RawCsr<'_> {
     }
 
     #[inline]
-    fn neighbors_while<F: FnMut(u32) -> bool>(&self, v: u32, mut f: F) {
-        for &w in &self.arcs[self.offsets[v as usize]..self.offsets[v as usize + 1]] {
-            if !f(w) {
+    fn neighbors_from_while<F: FnMut(usize, u32) -> bool>(&self, v: u32, lo: usize, mut f: F) {
+        let (base, end) = (self.offsets[v as usize], self.offsets[v as usize + 1]);
+        for (j, &w) in self.arcs[base + lo..end].iter().enumerate() {
+            if !f(lo + j, w) {
                 break;
             }
         }

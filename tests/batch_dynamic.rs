@@ -6,11 +6,16 @@
 //! re-solves, region re-roots, or the full-solve fallback) the batch took.
 //! Deletions are drawn from the live edge set, so scripts routinely cut
 //! bridges and tree edges, disconnect components, and reconnect them
-//! batches later.
+//! batches later. Every script runs at budget 1 and at `DFS_MAX_BUDGET`,
+//! where the attached result is DFS-initialised and region sub-solves
+//! take the DFS, and at one worker past it, where both take the pipeline; the fresh reference is always the
+//! FAST-BCC pipeline.
 
+use fast_bcc::core::engine::DFS_MAX_BUDGET;
 use fast_bcc::core::postprocess::{articulation_points, bridges};
 use fast_bcc::core::{canonical_bccs as canon, BccEngine, Query, QueryScratch};
 use fast_bcc::graph::{builder, Graph, V};
+use fast_bcc::primitives::with_threads;
 use fast_bcc::BccOpts;
 use proptest::prelude::*;
 
@@ -18,7 +23,7 @@ use proptest::prelude::*;
 fn assert_matches_fresh(engine: &BccEngine, ctx: &str) {
     let g = engine.graph().expect("engine is attached");
     let mut fresh = BccEngine::new(BccOpts::default());
-    fresh.solve(g);
+    fresh.solve_fast_bcc(g);
     assert_eq!(
         engine.result().num_cc,
         fresh.result().num_cc,
@@ -118,11 +123,16 @@ fn arb_scripted_graph(
     })
 }
 
-/// Run `script` against both the incremental engine and a mirrored edge
-/// set, checking full equivalence after every batch. Every assertion
-/// message carries the `run_script` call that reproduces it.
-fn run_script(n: usize, init: &[(V, V)], script: &Script) {
-    let repro = format!("run_script(n={n}, init={init:?}, script={script:?})");
+/// Run `script` at thread budget `budget` against both the incremental
+/// engine and a mirrored edge set, checking full equivalence after every
+/// batch. Every assertion message carries the `run_script` call that
+/// reproduces it.
+fn run_script(n: usize, init: &[(V, V)], script: &Script, budget: usize) {
+    with_threads(budget, || run_script_here(n, init, script, budget));
+}
+
+fn run_script_here(n: usize, init: &[(V, V)], script: &Script, budget: usize) {
+    let repro = format!("run_script(n={n}, init={init:?}, script={script:?}, budget={budget})");
     let g0 = builder::from_edges(n, init);
     let mut live = edge_list(&g0);
     let mut engine = BccEngine::new(BccOpts::default());
@@ -172,7 +182,9 @@ proptest! {
     fn default_threshold_batches_match_fresh_solves(
         (n, init, script) in arb_scripted_graph(30, 40)
     ) {
-        run_script(n, &init, &script);
+        for budget in [1, DFS_MAX_BUDGET, DFS_MAX_BUDGET + 1] {
+            run_script(n, &init, &script, budget);
+        }
     }
 }
 
@@ -183,6 +195,12 @@ proptest! {
 /// one scripted life cycle.
 #[test]
 fn disconnect_then_reconnect_round_trip() {
+    for budget in [1, DFS_MAX_BUDGET, DFS_MAX_BUDGET + 1] {
+        with_threads(budget, round_trip);
+    }
+}
+
+fn round_trip() {
     use fast_bcc::graph::generators::classic::cycle;
     let n: V = 60;
     let g0 = cycle(n as usize);

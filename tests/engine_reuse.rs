@@ -1,9 +1,11 @@
 //! Engine-reuse property tests: a scratch-pooled [`BccEngine`] solving
 //! graph A and then graph B must behave exactly like fresh [`fast_bcc`]
-//! calls — bit-identical labels/heads/counts under a single worker (where
-//! execution is deterministic), semantically identical always — and both
-//! must agree with the sequential Hopcroft–Tarjan oracle. The second solve
-//! of a same-shaped input must not grow the workspace at all.
+//! calls — its FAST-BCC pipeline (`solve_fast_bcc`) bit-identical in
+//! labels/heads/counts under a single worker (where execution is
+//! deterministic), semantically identical always — and both, together
+//! with the budget-1 DFS `solve`, must agree with the sequential
+//! Hopcroft–Tarjan oracle. The second solve of a same-shaped input must
+//! not grow the workspace at all, on either path.
 
 use fast_bcc::baselines::hopcroft_tarjan;
 use fast_bcc::prelude::*;
@@ -32,7 +34,7 @@ proptest! {
             let mut engine = BccEngine::new(BccOpts::default());
             for g in [&a, &b] {
                 let fresh = fast_bcc(g, BccOpts::default());
-                let pooled = engine.solve(g);
+                let pooled = engine.solve_fast_bcc(g);
                 prop_assert_eq!(pooled.num_bcc, fresh.num_bcc);
                 prop_assert_eq!(pooled.num_cc, fresh.num_cc);
                 prop_assert_eq!(&pooled.labels, &fresh.labels);
@@ -48,7 +50,20 @@ proptest! {
                 let pooled_aps = articulation_points(pooled);
                 prop_assert_eq!(&pooled_aps, &want.articulation_points);
                 prop_assert_eq!(&articulation_points(&fresh), &pooled_aps);
-                prop_assert_eq!(canonical_bccs(pooled), want.bccs.unwrap());
+                let want_sets = want.bccs.unwrap();
+                prop_assert_eq!(&canonical_bccs(pooled), &want_sets);
+
+                // The budget-1 `solve` is the DFS: same BCCs, cuts,
+                // bridges and component count.
+                let dfs = engine.solve(g);
+                prop_assert_eq!(dfs.num_bcc, want.num_bcc);
+                prop_assert_eq!(dfs.num_cc, fresh.num_cc);
+                prop_assert_eq!(&canonical_bccs(dfs), &want_sets);
+                prop_assert_eq!(&articulation_points(dfs), &want.articulation_points);
+                let mut b: Vec<(V, V)> =
+                    bridges(dfs).iter().map(|&(x, y)| (x.min(y), x.max(y))).collect();
+                b.sort_unstable();
+                prop_assert_eq!(&b, &want.bridges);
             }
             Ok(())
         });
@@ -77,9 +92,12 @@ proptest! {
         let grew = with_threads(1, || -> Result<(), TestCaseError> {
             let mut engine = BccEngine::new(BccOpts::default());
             engine.solve(&g);
+            engine.solve_fast_bcc(&g);
             for round in 0..2 {
                 let r = engine.solve(&g);
-                prop_assert_eq!(r.fresh_alloc_bytes, 0, "round {} grew the workspace", round);
+                prop_assert_eq!(r.fresh_alloc_bytes, 0, "DFS round {} grew the workspace", round);
+                let r = engine.solve_fast_bcc(&g);
+                prop_assert_eq!(r.fresh_alloc_bytes, 0, "pipeline round {} grew the workspace", round);
             }
             Ok(())
         });

@@ -12,8 +12,10 @@ use fast_bcc::prelude::*;
 /// definition the `bench-smoke` gate also enforces.
 use fast_bcc::core::space::workspace_budget_bytes as scratch_budget;
 
-/// Reserved workspace bytes after two solves of `g` under a worker
-/// budget of `k`, asserting the second solve allocated nothing.
+/// Reserved workspace bytes after two FAST-BCC pipeline solves of `g`
+/// under a worker budget of `k`, asserting the second solve allocated
+/// nothing. The pipeline runs through `solve_fast_bcc`, because
+/// `solve` takes the DFS up to `DFS_MAX_BUDGET`.
 fn warm_workspace_bytes(g: &Graph, k: usize) -> usize {
     with_threads(k, || {
         let opts = BccOpts {
@@ -25,8 +27,8 @@ fn warm_workspace_bytes(g: &Graph, k: usize) -> usize {
             ..Default::default()
         };
         let mut engine = BccEngine::new(opts);
-        engine.solve(g);
-        let r = engine.solve(g);
+        engine.solve_fast_bcc(g);
+        let r = engine.solve_fast_bcc(g);
         assert_eq!(r.fresh_alloc_bytes, 0, "warm solve allocated at budget {k}");
         engine.workspace().heap_bytes()
     })
@@ -80,7 +82,8 @@ fn workspace_fits_linear_space_budget() {
 /// Warm re-solves report zero fresh bytes at several explicit budgets —
 /// including ones past the hardware parallelism — with the default
 /// options (local search enabled), matching the CI matrix's
-/// `FASTBCC_THREADS` sweep.
+/// `FASTBCC_THREADS` sweep. `solve` takes the DFS at budgets 1 and 2 and
+/// the pipeline at 4 and 8.
 #[test]
 fn warm_solves_allocation_free_at_every_budget() {
     let g = generators::grid2d_sampled(80, 80, 0.95, 0xED6E);

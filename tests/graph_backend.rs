@@ -3,11 +3,14 @@
 //! and the zero-copy mmap-loaded snapshot of each — must produce the same
 //! solve result and the same answer to every query kind (`SameBcc`,
 //! `IsArticulation`, `IsBridge`, `CutVerticesOnPath`), at every thread
-//! budget. The flat in-RAM [`Graph`] solved through the one-shot
-//! `fast_bcc` entry point is the reference; each other backend goes
-//! through [`BccEngine::solve_view`], i.e. the per-block streaming decode
-//! path the compressed backends monomorphize.
+//! budget, on both solve paths: [`BccEngine::solve_view`] (the DFS up to
+//! `DFS_MAX_BUDGET`, the pipeline above it) and
+//! [`BccEngine::solve_fast_bcc`].
+//! The Hopcroft–Tarjan oracle on the flat graph supplies the BCC sets,
+//! articulation points and bridges; the one-shot `fast_bcc` supplies the
+//! component count and the reference query answers.
 
+use fast_bcc::baselines::hopcroft_tarjan;
 use fast_bcc::graph::{
     load_snapshot, save_snapshot, save_snapshot_compressed, CompressedGraph, GraphView,
 };
@@ -33,11 +36,14 @@ struct Reference {
     num_bcc: usize,
     num_cc: usize,
     sets: Vec<Vec<V>>,
+    cuts: Vec<V>,
+    bridges: Vec<(V, V)>,
     queries: Vec<Query>,
     answers: Vec<QueryAnswer>,
 }
 
 fn reference(g: &Graph, tag: &str) -> Reference {
+    let ht = hopcroft_tarjan(g, true);
     let r = fast_bcc(g, BccOpts::default());
     let ix = BccIndex::new(&r);
     let queries = if g.n() > 0 {
@@ -48,26 +54,41 @@ fn reference(g: &Graph, tag: &str) -> Reference {
     let answers = queries.iter().map(|&q| ix.answer(q)).collect();
     assert!(!tag.is_empty());
     Reference {
-        num_bcc: r.num_bcc,
+        num_bcc: ht.num_bcc,
         num_cc: r.num_cc,
-        sets: canonical_bccs(&r),
+        sets: ht.bccs.unwrap(),
+        cuts: ht.articulation_points,
+        bridges: ht.bridges,
         queries,
         answers,
     }
 }
 
-/// Solve `g` through the view-generic engine path and compare everything
-/// against the flat reference.
+/// Solve `g` on both engine paths and compare everything against the
+/// flat reference.
 fn check_one<G: GraphView>(g: &G, want: &Reference, tag: &str, threads: usize) {
-    let ctx = format!("{tag}/{}/p{threads}", g.backend_name());
     let mut engine = BccEngine::new(BccOpts::default());
-    let r = engine.solve_view(g);
-    assert_eq!(r.num_bcc, want.num_bcc, "{ctx}: num_bcc");
-    assert_eq!(r.num_cc, want.num_cc, "{ctx}: num_cc");
-    assert_eq!(canonical_bccs(r), want.sets, "{ctx}: BCC vertex sets");
-    let ix = BccIndex::new(r);
-    for (q, a) in want.queries.iter().zip(&want.answers) {
-        assert_eq!(ix.answer(*q), *a, "{ctx}: {q:?}");
+    for path in ["solve_view", "solve_fast_bcc"] {
+        let ctx = format!("{tag}/{}/p{threads}/{path}", g.backend_name());
+        let r = if path == "solve_view" {
+            engine.solve_view(g)
+        } else {
+            engine.solve_fast_bcc(g)
+        };
+        assert_eq!(r.num_bcc, want.num_bcc, "{ctx}: num_bcc");
+        assert_eq!(r.num_cc, want.num_cc, "{ctx}: num_cc");
+        assert_eq!(canonical_bccs(r), want.sets, "{ctx}: BCC vertex sets");
+        assert_eq!(articulation_points(r), want.cuts, "{ctx}: cuts");
+        let mut b: Vec<(V, V)> = bridges(r)
+            .iter()
+            .map(|&(x, y)| (x.min(y), x.max(y)))
+            .collect();
+        b.sort_unstable();
+        assert_eq!(b, want.bridges, "{ctx}: bridges");
+        let ix = BccIndex::new(r);
+        for (q, a) in want.queries.iter().zip(&want.answers) {
+            assert_eq!(ix.answer(*q), *a, "{ctx}: {q:?}");
+        }
     }
 }
 

@@ -1,7 +1,8 @@
 //! Property-based testing (experiment E8): on arbitrary random graphs,
-//! FAST-BCC's output must match the sequential Hopcroft–Tarjan oracle —
-//! BCC sets, articulation points, and bridges — and the `O(n)`
-//! representation must satisfy its own invariants.
+//! FAST-BCC's output, and the budget-1 engine's DFS solve's, must match the
+//! sequential Hopcroft–Tarjan oracle — BCC sets, articulation points, and
+//! bridges — and the `O(n)` representation must satisfy its own
+//! invariants on both.
 
 use fast_bcc::baselines::hopcroft_tarjan;
 use fast_bcc::prelude::*;
@@ -22,47 +23,27 @@ proptest! {
     #[test]
     fn fast_bcc_matches_oracle(g in arb_graph(48, 120)) {
         let want = hopcroft_tarjan(&g, true);
-        let r = fast_bcc(&g, BccOpts::default());
-        prop_assert_eq!(r.num_bcc, want.num_bcc);
-        prop_assert_eq!(canonical_bccs(&r), want.bccs.unwrap());
-        prop_assert_eq!(articulation_points(&r), want.articulation_points);
-        let mut got: Vec<(V, V)> =
-            bridges(&r).into_iter().map(|(a, b)| (a.min(b), a.max(b))).collect();
-        got.sort_unstable();
-        prop_assert_eq!(got, want.bridges);
+        let want_sets = want.bccs.unwrap();
+        let fast = fast_bcc(&g, BccOpts::default());
+        let mut engine = BccEngine::new(BccOpts::default());
+        // The budget-1 engine solve is the DFS.
+        let dfs = with_threads(1, || engine.solve(&g));
+        for r in [&fast, dfs] {
+            prop_assert_eq!(r.num_bcc, want.num_bcc);
+            prop_assert_eq!(r.num_cc, fast.num_cc);
+            prop_assert_eq!(&canonical_bccs(r), &want_sets);
+            prop_assert_eq!(&articulation_points(r), &want.articulation_points);
+            let mut got: Vec<(V, V)> =
+                bridges(r).into_iter().map(|(a, b)| (a.min(b), a.max(b))).collect();
+            got.sort_unstable();
+            prop_assert_eq!(&got, &want.bridges);
+        }
     }
 
     #[test]
     fn representation_invariants(g in arb_graph(40, 90)) {
-        let r = fast_bcc(&g, BccOpts::default());
-        let n = g.n();
-        // Labels index real vertices; label_count is a correct histogram.
-        let mut hist = vec![0u32; n];
-        for v in 0..n {
-            prop_assert!((r.labels[v] as usize) < n);
-            hist[r.labels[v] as usize] += 1;
-        }
-        prop_assert_eq!(&hist, &r.label_count);
-        // A head never belongs to the label it heads.
-        for l in 0..n {
-            let h = r.head[l];
-            if h != NONE {
-                prop_assert_ne!(r.labels[h as usize], l as u32);
-            }
-        }
-        // Heads are articulation points or tree roots (Lemma 4.4).
-        let aps: std::collections::HashSet<V> =
-            articulation_points(&r).into_iter().collect();
-        for l in 0..n {
-            let h = r.head[l];
-            if h != NONE && r.is_bcc_label(l as u32) {
-                let is_root = r.tags.parent[h as usize] == NONE;
-                prop_assert!(
-                    aps.contains(&h) || is_root,
-                    "head {} neither articulation nor root", h
-                );
-            }
-        }
+        check_representation(&g, &fast_bcc(&g, BccOpts::default()))?;
+        with_threads(1, || check_representation(&g, BccEngine::new(BccOpts::default()).solve(&g)))?;
     }
 
     #[test]
@@ -142,4 +123,37 @@ proptest! {
         prop_assert_eq!(canonical_bccs(&a), canonical_bccs(&b));
         prop_assert_eq!(canonical_bccs(&a), canonical_bccs(&c));
     }
+}
+
+/// The `O(n)` representation's own invariants on a result of `g`.
+fn check_representation(g: &Graph, r: &BccResult) -> Result<(), TestCaseError> {
+    let n = g.n();
+    // Labels index real vertices; label_count is a correct histogram.
+    let mut hist = vec![0u32; n];
+    for v in 0..n {
+        prop_assert!((r.labels[v] as usize) < n);
+        hist[r.labels[v] as usize] += 1;
+    }
+    prop_assert_eq!(&hist, &r.label_count);
+    // A head never belongs to the label it heads.
+    for l in 0..n {
+        let h = r.head[l];
+        if h != NONE {
+            prop_assert_ne!(r.labels[h as usize], l as u32);
+        }
+    }
+    // Heads are articulation points or tree roots (Lemma 4.4).
+    let aps: std::collections::HashSet<V> = articulation_points(r).into_iter().collect();
+    for l in 0..n {
+        let h = r.head[l];
+        if h != NONE && r.is_bcc_label(l as u32) {
+            let is_root = r.tags.parent[h as usize] == NONE;
+            prop_assert!(
+                aps.contains(&h) || is_root,
+                "head {} neither articulation nor root",
+                h
+            );
+        }
+    }
+    Ok(())
 }

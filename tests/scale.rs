@@ -52,6 +52,25 @@ fn chain_1m() {
 }
 
 #[test]
+fn deep_chains_solve_at_budget_1() {
+    // The DFS solve keeps its stack on the heap: a million-deep DFS tree
+    // runs on the default test-thread stack. A path (Chn: every edge a
+    // bridge), a cycle (one block) and a ladder (one block under a
+    // vertex-deep tree with a back edge per rung) all go a million deep.
+    use fast_bcc::graph::generators::classic::{cycle, ladder};
+    with_threads(1, || {
+        let n = 1_000_000;
+        let mut engine = BccEngine::new(BccOpts::default());
+        let r = engine.solve(&path(n));
+        assert_eq!((r.num_bcc, r.num_cc), (n - 1, 1));
+        assert_eq!(articulation_points(r).len(), n - 2);
+        assert_eq!(bridges(r).len(), n - 1);
+        assert_eq!(engine.solve(&cycle(n)).num_bcc, 1);
+        assert_eq!(engine.solve(&ladder(n / 2)).num_bcc, 1);
+    });
+}
+
+#[test]
 fn rmat_power_law() {
     let g = rmat(14, 120_000, 11);
     check_counts(&g, "rmat14");

@@ -1,11 +1,14 @@
-//! Heap allocations of one warm `BccEngine::solve`, counted by a
-//! counting global allocator on the calling thread.
+//! Heap allocations of one warm solve, counted by a counting global
+//! allocator on the calling thread.
 //!
 //! `fresh_alloc_bytes == 0` only says no pooled workspace buffer grew;
 //! the transient tables inside the primitives (pack offsets, block
 //! bounds, scan block sums, sort histograms) still hit the allocator.
-//! This pins their count. At budget 1 every parallel loop runs inline on
-//! the calling thread, so the count is exact and repeats run over run.
+//! This pins their count for the FAST-BCC pipeline
+//! (`BccEngine::solve_fast_bcc`). At budget 1 every parallel loop runs
+//! inline on the calling thread, so the count is exact and repeats run
+//! over run. The budget-1 DFS `solve` uses only pooled buffers, so its
+//! warm count is 0.
 //!
 //! Measured on `rmat(14, 60000, 3)`: 3,925 allocations while the
 //! blocked primitives ran on the rayon shim's iterator adapters (three
@@ -59,11 +62,11 @@ fn warm_solve_heap_allocations_are_bounded() {
     with_threads(1, || {
         let g = generators::rmat(14, 60_000, 3);
         let mut engine = BccEngine::new(BccOpts::default());
-        engine.solve(&g);
+        engine.solve_fast_bcc(&g);
         let mut counts = Vec::with_capacity(2);
         for _ in 0..2 {
             let before = allocs();
-            let fresh = engine.solve(&g).fresh_alloc_bytes;
+            let fresh = engine.solve_fast_bcc(&g).fresh_alloc_bytes;
             counts.push(allocs() - before);
             assert_eq!(fresh, 0, "warm solve grew a pooled buffer");
         }
@@ -73,5 +76,20 @@ fn warm_solve_heap_allocations_are_bounded() {
             "warm solve made {} heap allocations (bound {WARM_SOLVE_ALLOC_BOUND})",
             counts[0]
         );
+    });
+}
+
+#[test]
+fn warm_dfs_solve_allocates_nothing() {
+    with_threads(1, || {
+        let g = generators::rmat(14, 60_000, 3);
+        let mut engine = BccEngine::new(BccOpts::default());
+        engine.solve(&g);
+        for _ in 0..2 {
+            let before = allocs();
+            let fresh = engine.solve(&g).fresh_alloc_bytes;
+            assert_eq!(allocs() - before, 0, "warm DFS solve touched the allocator");
+            assert_eq!(fresh, 0, "warm DFS solve grew a pooled buffer");
+        }
     });
 }
