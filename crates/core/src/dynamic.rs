@@ -21,12 +21,18 @@
 //!   endpoints it remains biconnected and **no label changes at all** — for
 //!   a tree edge only the stale `parent` pointer is left for the batch-end
 //!   re-hang. If the certificate fails (the block splits) the block's
-//!   members are collected by a bounded BFS and re-solved locally, anchored
-//!   at the block head so the result splices into the global orientation.
+//!   members are collected by a bounded BFS and re-solved in place: the
+//!   engine's own DFS, restricted to the members
+//!   ([`crate::dfs::dfs_region_in`]), rooted at the block head, which
+//!   keeps its global parent and class, then the DFS label sweep over the
+//!   region's pre-order.
 //! * **Insertions** — an edge inside one block is a no-op. Otherwise the
 //!   two head chains are walked up to their first common block and every
 //!   block strictly between merges (the classic block-cut-path contraction),
 //!   implemented with a label DSU so a batch of insertions is near-linear.
+//!   An edge joining two trees either hangs a tree root under the other
+//!   endpoint, or re-solves one endpoint's whole component with the same
+//!   in-place region DFS and hangs it there.
 //! * **Re-hang** — after certificate-passed tree deletions the `parent`
 //!   array is rebuilt by one multi-source BFS from the existing roots over
 //!   the new graph. Any BFS parent edge of `c` lies in the block of `c`'s
@@ -53,6 +59,7 @@
 //! reads only `labels`/`head`/`label_count`/`parent`.
 
 use crate::algo::BccResult;
+use crate::dfs::{dfs_region_in, label_sweep};
 use crate::engine::{result_heap_bytes, BccEngine};
 use fastbcc_graph::delta::{apply_delta, DeltaScratch, GraphDelta};
 use fastbcc_graph::{Graph, NONE, V};
@@ -142,14 +149,9 @@ pub struct DynState {
     seen_entry: Vec<V>,
     chain_a: Vec<(u32, V)>,
     chain_b: Vec<(u32, V)>,
-    // Region re-solve scratch.
+    // Region re-solve members (the region DFS runs on the engine's
+    // workspace scratch).
     members: Vec<V>,
-    local_id: Vec<u32>,
-    sub_pairs: Vec<(u32, u32)>,
-    sub_offsets: Vec<usize>,
-    sub_cursor: Vec<usize>,
-    sub_arcs: Vec<V>,
-    sub: Option<Box<BccEngine>>,
 }
 
 /// [`ApplyReport::fallback`] reason: the batch exceeded 5% of the edge
@@ -177,18 +179,6 @@ pub const FB_BUDGET: &str = "work_budget";
 pub const FALLBACK_REASONS: [&str; 6] = [
     FB_CHURN, FB_CROSS, FB_CHAIN, FB_REGION, FB_REHANG, FB_BUDGET,
 ];
-
-/// Outcome of one [`BccEngine::try_region_reroot`] probe.
-enum RegionReroot {
-    /// Region spliced; the insertion is fully absorbed.
-    Done,
-    /// The flood exceeded the current vertex/arc cap — retry at a larger
-    /// cap or on the other side.
-    TooBig,
-    /// The flood completed but the region has a second tie to the anchor;
-    /// no cap level can change this, so the side is dead for this edge.
-    Invalid,
-}
 
 impl DynState {
     /// Drop the attached graph (if any), returning it. The engine's
@@ -237,20 +227,10 @@ impl DynState {
         self.state_queue.reserve(2 * n);
         self.members.clear();
         self.members.reserve(SUB_CAP.min(n) + 1);
-        self.local_id.clear();
-        self.local_id.resize(n, 0);
         self.chain_a.clear();
         self.chain_a.reserve(CHAIN_CAP + 1);
         self.chain_b.clear();
         self.chain_b.reserve(CHAIN_CAP + 1);
-        self.sub_pairs.clear();
-        self.sub_pairs.reserve(SUB_ARC_CAP);
-        self.sub_offsets.clear();
-        self.sub_offsets.reserve(SUB_CAP.min(n) + 2);
-        self.sub_cursor.clear();
-        self.sub_cursor.reserve(SUB_CAP.min(n) + 2);
-        self.sub_arcs.clear();
-        self.sub_arcs.reserve(SUB_ARC_CAP);
         self.report = None;
     }
 
@@ -285,14 +265,56 @@ impl DynState {
             + vb(self.seen_entry.capacity())
             + (self.chain_a.capacity() + self.chain_b.capacity()) * 8
             + vb(self.members.capacity())
-            + vb(self.local_id.capacity())
-            + self.sub_pairs.capacity() * 8
-            + self.sub_offsets.capacity() * 8
-            + self.sub_cursor.capacity() * 8
-            + vb(self.sub_arcs.capacity())
-            + self.sub.as_ref().map_or(0, |s| {
-                s.workspace().heap_bytes() + result_heap_bytes(&s.result)
-            })
+    }
+
+    /// Collect a region: BFS from `start` over the union of `graphs`'
+    /// adjacency, through the vertices `accept` admits, into `members`,
+    /// marked with a fresh era. Returns the era and the arcs scanned, or
+    /// `None` once the region passes [`SUB_CAP`] vertices or
+    /// [`SUB_ARC_CAP`] scanned arcs; a failed flood still costs real work,
+    /// so it is charged to the batch work budget.
+    fn flood(
+        &mut self,
+        graphs: &[&Graph],
+        start: V,
+        accept: impl Fn(V) -> bool,
+    ) -> Option<(u32, usize)> {
+        self.era = self.era.wrapping_add(1);
+        let era = self.era;
+        self.members.clear();
+        self.members.push(start);
+        self.mark[start as usize] = era;
+        let mut qi = 0;
+        let mut arcs_scanned = 0usize;
+        let fits = 'flood: {
+            while qi < self.members.len() {
+                let x = self.members[qi];
+                qi += 1;
+                arcs_scanned += graphs.iter().map(|g| g.degree(x)).sum::<usize>();
+                if arcs_scanned > SUB_ARC_CAP {
+                    break 'flood false;
+                }
+                for g in graphs {
+                    for &w in g.neighbors(x) {
+                        if self.mark[w as usize] != era && accept(w) {
+                            if self.members.len() >= SUB_CAP {
+                                break 'flood false;
+                            }
+                            self.mark[w as usize] = era;
+                            self.members.push(w);
+                        }
+                    }
+                }
+            }
+            true
+        };
+        if fits {
+            return Some((era, arcs_scanned));
+        }
+        self.work_budget = self
+            .work_budget
+            .saturating_sub(self.members.len() + arcs_scanned);
+        None
     }
 
     /// Exact Menger `k = 2` test: are there two internally vertex-disjoint
@@ -436,39 +458,14 @@ impl DynState {
     }
 }
 
-/// Deterministic circulant ring with `n` vertices and at least
-/// `arcs_target` directed arcs (each vertex adjacent to its `d` nearest
-/// ring neighbors on both sides): the warm-up workload for the region
-/// sub-engine, dense enough to settle every m-scaled table at the region
-/// arc budget.
-fn warm_circulant(n: usize, arcs_target: usize) -> Graph {
-    let d = arcs_target.div_ceil(2 * n).clamp(1, (n - 1) / 2);
-    let mut offsets = Vec::with_capacity(n + 1);
-    let mut arcs = Vec::with_capacity(2 * d * n);
-    let mut row: Vec<V> = Vec::with_capacity(2 * d);
-    offsets.push(0);
-    for i in 0..n {
-        row.clear();
-        for k in 1..=d {
-            row.push(((i + k) % n) as V);
-            row.push(((i + n - k) % n) as V);
-        }
-        row.sort_unstable();
-        arcs.extend_from_slice(&row);
-        offsets.push(arcs.len());
-    }
-    Graph::from_raw_parts(offsets, arcs)
-}
-
 impl BccEngine {
     /// Attach `g` as the engine's maintained graph and solve it fully.
     /// Subsequent [`apply_batch`](Self::apply_batch) calls evolve this
-    /// graph in place. Sizes and pre-warms every batch-dynamic buffer
-    /// (including the boxed region sub-engine) so warm incremental batches
-    /// report `fresh_alloc_bytes == 0`.
+    /// graph in place. Sizes every batch-dynamic buffer, the DFS scratch
+    /// of region repairs included, so warm incremental batches report
+    /// `fresh_alloc_bytes == 0`.
     pub fn attach(&mut self, g: &Graph) -> &BccResult {
         let n = g.n();
-        let opts = self.opts();
         self.dynamic.reset_for(n);
         // Re-attaching reuses the previous graph's CSR buffers (a serving
         // rebuilder attaches on every full rebuild; warm re-attaches of a
@@ -484,30 +481,9 @@ impl BccEngine {
             }
             None => g.clone(),
         });
-        if self.dynamic.sub.is_none() && n > 0 {
-            let warm_n = SUB_CAP.min(n).max(8);
-            let warm_arcs = SUB_ARC_CAP.min(g.m()).max(2 * warm_n);
-            let mut sub = Box::new(BccEngine::with_capacity(
-                SUB_CAP.min(n) + 1,
-                SUB_ARC_CAP,
-                opts,
-            ));
-            // Region sub-solves take the DFS up to `DFS_MAX_BUDGET` and the
-            // pipeline above it, so warm both. Two pipeline solves settle its lazily
-            // sized tables at full region scale: the circulant (one giant
-            // block, arc count at the region budget — deterministic,
-            // unlike a sampled generator, so it never dedupes below the
-            // target) covers the m-scaled edge arrays, and the path
-            // (`warm_n - 1` single-edge blocks) covers everything scaled
-            // by block or articulation counts, which the single-block
-            // circulant leaves cold. The DFS scratch is `O(n)`, so one
-            // solve at region size sizes it.
-            let warm_path = fastbcc_graph::generators::classic::path(warm_n);
-            sub.solve_fast_bcc(&warm_circulant(warm_n, warm_arcs));
-            sub.solve_fast_bcc(&warm_path);
-            sub.solve_dfs(&warm_path);
-            self.dynamic.sub = Some(sub);
-        }
+        // A region holds at most `SUB_CAP` members; a DFS solve below
+        // grows the scratch to `n`, a pipeline solve leaves it as it is.
+        self.ws.dfs.reserve(SUB_CAP.min(n) + 1);
         self.solve(g)
     }
 
@@ -590,7 +566,7 @@ impl BccEngine {
         let churn_frac = self.dynamic.churn_frac.unwrap_or(MAX_CHURN_FRAC);
         let budget = ((old.m_undirected() as f64) * churn_frac).max(1.0);
         if (report.adds + report.dels) as f64 > budget {
-            return self.fallback(old, new, report, FB_CHURN, heap_before);
+            return self.fallback(old, new, report, FB_CHURN);
         }
 
         // Aggregate work budget for the whole batch — certificates,
@@ -606,7 +582,7 @@ impl BccEngine {
         let mut need_rehang = false;
         for i in 0..self.dynamic.delta.dels.len() {
             if self.dynamic.work_budget == 0 {
-                return self.fallback(old, new, report, FB_BUDGET, heap_before);
+                return self.fallback(old, new, report, FB_BUDGET);
             }
             let (u, v) = self.dynamic.delta.dels[i];
             let res = &mut self.result;
@@ -618,7 +594,7 @@ impl BccEngine {
             } else {
                 None
             };
-            if let Some(c) = tree_child {
+            let region = if let Some(c) = tree_child {
                 let p = if c == u { v } else { u };
                 if res.labels[c as usize] == c
                     && res.head[c as usize] == p
@@ -631,21 +607,10 @@ impl BccEngine {
                     report.dels_bridge += 1;
                     continue;
                 }
-                let region = res.labels[c as usize];
-                if self.dynamic.cert_two_disjoint(&new, u, v) == Some(true) {
-                    // Block stays biconnected; only parent[c] went stale.
-                    report.dels_cert_pass += 1;
-                    need_rehang = true;
-                    continue;
-                }
-                if !self.sub_solve(&old, &new, region) {
-                    return self.fallback(old, new, report, FB_REGION, heap_before);
-                }
-                report.dels_sub_solve += 1;
+                res.labels[c as usize]
             } else {
-                let res = &self.result;
                 let (lu, lv) = (res.labels[u as usize], res.labels[v as usize]);
-                let region = if lu == lv || res.head[lu as usize] == v {
+                if lu == lv || res.head[lu as usize] == v {
                     lu
                 } else if res.head[lv as usize] == u {
                     lv
@@ -654,22 +619,25 @@ impl BccEngine {
                     // endpoints; this deletion is structurally done.
                     report.dels_skipped += 1;
                     continue;
-                };
-                if self.dynamic.cert_two_disjoint(&new, u, v) == Some(true) {
-                    report.dels_cert_pass += 1;
-                    continue;
                 }
-                if !self.sub_solve(&old, &new, region) {
-                    return self.fallback(old, new, report, FB_REGION, heap_before);
-                }
-                report.dels_sub_solve += 1;
+            };
+            if self.dynamic.cert_two_disjoint(&new, u, v) == Some(true) {
+                // The block stays biconnected; for a tree edge only
+                // `parent[c]` went stale.
+                report.dels_cert_pass += 1;
+                need_rehang |= tree_child.is_some();
+                continue;
             }
+            if !self.sub_solve(&old, &new, region) {
+                return self.fallback(old, new, report, FB_REGION);
+            }
+            report.dels_sub_solve += 1;
         }
 
         // ---- Insertions -------------------------------------------------
         for i in 0..self.dynamic.delta.adds.len() {
             if self.dynamic.work_budget == 0 {
-                return self.fallback(old, new, report, FB_BUDGET, heap_before);
+                return self.fallback(old, new, report, FB_BUDGET);
             }
             let (u, v) = self.dynamic.delta.adds[i];
             let lu = self.dynamic.find(self.result.labels[u as usize]);
@@ -719,44 +687,14 @@ impl BccEngine {
                     // by re-solving one endpoint's whole component locally
                     // and hanging it under the other, gated only by the
                     // region caps.
-                    if reason == FB_CROSS {
-                        let mut rescued = false;
-                        // Escalating caps: probe both sides small first so
-                        // the common shape — a tiny satellite component
-                        // joining a giant one — never pays for flooding
-                        // the giant side to the full region budget. A side
-                        // whose flood *completed* but was structurally
-                        // invalid is dead at every cap level (the member
-                        // set would not change), so only cap-bounded
-                        // failures are retried.
-                        let (vmax, amax) = (SUB_CAP, SUB_ARC_CAP);
-                        let (mut vcap, mut acap) = (vmax.min(512), amax.min(8192));
-                        let (mut dead_u, mut dead_v) = (false, false);
-                        while !(rescued || dead_u && dead_v) {
-                            for (root_end, anchor, dead) in
-                                [(u, v, &mut dead_u), (v, u, &mut dead_v)]
-                            {
-                                if *dead || rescued {
-                                    continue;
-                                }
-                                match self.try_region_reroot(&new, root_end, anchor, vcap, acap) {
-                                    RegionReroot::Done => rescued = true,
-                                    RegionReroot::TooBig => {}
-                                    RegionReroot::Invalid => *dead = true,
-                                }
-                            }
-                            if vcap == vmax && acap == amax {
-                                break;
-                            }
-                            vcap = (vcap * 8).min(vmax);
-                            acap = (acap * 8).min(amax);
-                        }
-                        if rescued {
-                            report.adds_rerooted += 1;
-                            continue;
-                        }
+                    if reason == FB_CROSS
+                        && (self.try_region_reroot(&new, u, v)
+                            || self.try_region_reroot(&new, v, u))
+                    {
+                        report.adds_rerooted += 1;
+                        continue;
                     }
-                    return self.fallback(old, new, report, reason, heap_before);
+                    return self.fallback(old, new, report, reason);
                 }
             }
         }
@@ -788,7 +726,7 @@ impl BccEngine {
                 }
             }
             if dy.queue.len() != n {
-                return self.fallback(old, new, report, FB_REHANG, heap_before);
+                return self.fallback(old, new, report, FB_REHANG);
             }
         }
 
@@ -847,7 +785,6 @@ impl BccEngine {
         new: Graph,
         mut report: ApplyReport,
         reason: &'static str,
-        _heap_before: usize,
     ) -> &BccResult {
         {
             let dy = &mut self.dynamic;
@@ -902,58 +839,15 @@ impl BccEngine {
     /// entries (no live label outside the region can resolve to a class id
     /// inside it — classes never span components), so the rescue composes
     /// with earlier merges, region re-solves, and a pending re-hang.
-    /// Returns [`RegionReroot::TooBig`] (caller escalates the caps, tries
-    /// the other side, then falls back) when the component exceeds
-    /// `sub_cap`/`arc_cap`, and [`RegionReroot::Invalid`] — terminal for
-    /// this side — when the completed flood failed the single-tie check.
-    /// The caller passes the caps explicitly so it can probe both sides
-    /// cheaply first: the flood cost of the *large* side is bounded by the
-    /// current level, keeping the rescue's total cost proportional to the
-    /// small component rather than to the giant one.
-    fn try_region_reroot(
-        &mut self,
-        new: &Graph,
-        root_end: V,
-        anchor: V,
-        sub_cap: usize,
-        arc_cap: usize,
-    ) -> RegionReroot {
+    /// Returns false, with the failed flood charged to the batch work
+    /// budget, when the component exceeds [`SUB_CAP`] vertices or
+    /// [`SUB_ARC_CAP`] scanned arcs or fails the single-tie check; the
+    /// caller then tries the other side, then falls back.
+    fn try_region_reroot(&mut self, new: &Graph, root_end: V, anchor: V) -> bool {
         let dy = &mut self.dynamic;
-        dy.era = dy.era.wrapping_add(1);
-        let era = dy.era;
-
-        dy.members.clear();
-        dy.members.push(root_end);
-        dy.mark[root_end as usize] = era;
-        dy.local_id[root_end as usize] = 0;
-        let mut qi = 0;
-        let mut arcs_scanned = 0usize;
-        while qi < dy.members.len() {
-            let x = dy.members[qi];
-            qi += 1;
-            arcs_scanned += new.degree(x);
-            if arcs_scanned > arc_cap {
-                // A failed flood still costs real work; charge it so a
-                // batch of hopeless probes cannot stall indefinitely.
-                dy.work_budget = dy
-                    .work_budget
-                    .saturating_sub(dy.members.len() + arcs_scanned);
-                return RegionReroot::TooBig;
-            }
-            for &w in new.neighbors(x) {
-                if w != anchor && dy.mark[w as usize] != era {
-                    if dy.members.len() >= sub_cap {
-                        dy.work_budget = dy
-                            .work_budget
-                            .saturating_sub(dy.members.len() + arcs_scanned);
-                        return RegionReroot::TooBig;
-                    }
-                    dy.mark[w as usize] = era;
-                    dy.local_id[w as usize] = dy.members.len() as u32;
-                    dy.members.push(w);
-                }
-            }
-        }
+        let Some((era, mut arcs_scanned)) = dy.flood(&[new], root_end, |w| w != anchor) else {
+            return false;
+        };
 
         // The splice treats (root_end, anchor) as the region's only tie to
         // the rest of the graph — that is what makes the new edge a true
@@ -972,19 +866,19 @@ impl BccEngine {
             dy.work_budget = dy
                 .work_budget
                 .saturating_sub(dy.members.len() + arcs_scanned);
-            return RegionReroot::Invalid;
+            return false;
         }
 
         // `anchor` is unmarked, so its arcs — including the one being
-        // absorbed — stay out of the local CSR. Every member is spliced:
-        // unlike the block-anchored sub-solve there is no preserved
-        // boundary vertex. The local root's singleton class then becomes
-        // the new bridge class.
+        // absorbed — stay out of the region search. Every member is
+        // spliced: unlike the block-anchored sub-solve there is no
+        // preserved boundary vertex. The local root's singleton class then
+        // becomes the new bridge class.
         self.solve_region(new, era, arcs_scanned, 0);
         let res = &mut self.result;
         res.tags.parent[root_end as usize] = anchor;
         res.head[root_end as usize] = anchor;
-        RegionReroot::Done
+        true
     }
 
     /// Merge every block strictly between `lu` and `lv`'s first common
@@ -1100,124 +994,64 @@ impl BccEngine {
         if anchor == NONE {
             return false;
         }
-        let dy = &mut self.dynamic;
-        let res = &mut self.result;
-        dy.era = dy.era.wrapping_add(1);
-        let era = dy.era;
-
         // Collect the block: label-filtered BFS from the anchor over the
         // union of old and new adjacency (deleted-but-unprocessed edges
         // are still structural mid-batch, so the old lists are required
         // for reachability; the new lists cover batch insertions).
-        dy.members.clear();
-        dy.members.push(anchor);
-        dy.mark[anchor as usize] = era;
-        dy.local_id[anchor as usize] = 0;
-        let mut qi = 0;
-        let mut arcs_scanned = 0usize;
-        while qi < dy.members.len() {
-            let x = dy.members[qi];
-            qi += 1;
-            arcs_scanned += old.degree(x) + new.degree(x);
-            if arcs_scanned > SUB_ARC_CAP {
-                return false;
-            }
-            for list in [old.neighbors(x), new.neighbors(x)] {
-                for &w in list {
-                    if dy.mark[w as usize] != era && res.labels[w as usize] == region {
-                        if dy.members.len() >= SUB_CAP {
-                            return false;
-                        }
-                        dy.mark[w as usize] = era;
-                        dy.local_id[w as usize] = dy.members.len() as u32;
-                        dy.members.push(w);
-                    }
-                }
-            }
-        }
+        let labels = &self.result.labels;
+        let in_block = |w: V| labels[w as usize] == region;
+        let Some((era, arcs_scanned)) = self.dynamic.flood(&[old, new], anchor, in_block) else {
+            return false;
+        };
 
-        // The old class dies; the anchor (local root, local id 0) keeps
-        // its global label, parent, and class — exactly why the sub-solve
-        // is anchored there. Two blocks share at most one vertex, so every
-        // new-graph edge between members is a block edge.
-        res.label_count[region as usize] = 0;
-        res.head[region as usize] = NONE;
+        // The old class dies with its members' relabelling; the anchor
+        // (the region root) keeps its global label, parent, and class —
+        // exactly why the sub-solve is anchored there. Two blocks share at
+        // most one vertex, so every new-graph edge between members is a
+        // block edge.
         self.solve_region(new, era, arcs_scanned, 1);
         true
     }
 
     /// Solve the subgraph of `new` induced by the collected `members`
-    /// (marked with `era`, `members[0]` as the local root) on the pooled
-    /// sub-engine, and splice `members[first..]` into the global result:
-    /// local classes map through `members`, and the spliced vertices' DSU
-    /// entries reset to identity. Charges the region's vertices plus
-    /// `arcs_scanned` against the batch work budget. The induced CSR is
-    /// built by counting sort into pooled buffers.
+    /// (marked with `era`, `members[0]` as the root) with the engine's DFS,
+    /// in place on the global result, and relabel `members[first..]` from
+    /// its pre-order: their classes, heads, counts and parents come from
+    /// the region search, and their DSU entries reset to identity. With
+    /// `first == 1` the root keeps its global parent and class. Charges the
+    /// region's vertices plus `arcs_scanned` against the batch work budget.
     fn solve_region(&mut self, new: &Graph, era: u32, arcs_scanned: usize, first: usize) {
         let dy = &mut self.dynamic;
         let res = &mut self.result;
-        let k = dy.members.len();
-        dy.work_budget = dy.work_budget.saturating_sub(k + arcs_scanned);
-        dy.sub_pairs.clear();
-        for (j, &gv) in dy.members.iter().enumerate() {
-            for &w in new.neighbors(gv) {
-                if dy.mark[w as usize] == era {
-                    dy.sub_pairs.push((j as u32, dy.local_id[w as usize]));
-                }
-            }
+        let dfs = &mut self.ws.dfs;
+        dy.work_budget = dy
+            .work_budget
+            .saturating_sub(dy.members.len() + arcs_scanned);
+        for &v in &dy.members[first..] {
+            res.head[v as usize] = NONE;
+            res.label_count[v as usize] = 0;
+            dy.dsu[v as usize] = v;
         }
-        dy.sub_offsets.clear();
-        dy.sub_offsets.resize(k + 1, 0);
-        for &(s, _) in &dy.sub_pairs {
-            dy.sub_offsets[s as usize + 1] += 1;
+        let root_parent = res.tags.parent[dy.members[0] as usize];
+        let mark = &dy.mark;
+        dfs_region_in(
+            new,
+            &dy.members,
+            |w| mark[w as usize] == era,
+            &mut res.tags,
+            dfs,
+        );
+        // The root comes first in the pre-order.
+        label_sweep(
+            &dfs.order()[first..],
+            &res.tags,
+            &mut res.labels,
+            &mut res.head,
+            &mut res.label_count,
+        );
+        if first == 1 {
+            res.tags.parent[dy.members[0] as usize] = root_parent;
         }
-        for j in 0..k {
-            dy.sub_offsets[j + 1] += dy.sub_offsets[j];
-        }
-        let mut arcs = std::mem::take(&mut dy.sub_arcs);
-        arcs.clear();
-        arcs.resize(dy.sub_pairs.len(), 0);
-        dy.sub_cursor.clear();
-        dy.sub_cursor.extend_from_slice(&dy.sub_offsets[..k]);
-        for &(s, t) in &dy.sub_pairs {
-            arcs[dy.sub_cursor[s as usize]] = t;
-            dy.sub_cursor[s as usize] += 1;
-        }
-        let offsets = std::mem::take(&mut dy.sub_offsets);
-        for j in 0..k {
-            arcs[offsets[j]..offsets[j + 1]].sort_unstable();
-        }
-        let lg = Graph::from_raw_parts(offsets, arcs);
-
-        let mut sub = dy.sub.take().expect("sub engine sized at attach");
-        sub.solve_with_root(&lg, 0);
-
-        let sr = &sub.result;
-        let global = |l: V| {
-            if l == NONE {
-                NONE
-            } else {
-                dy.members[l as usize]
-            }
-        };
-        for j in first..k {
-            let gj = dy.members[j] as usize;
-            res.labels[gj] = dy.members[sr.labels[j] as usize];
-            res.tags.parent[gj] = global(sr.tags.parent[j]);
-            if sr.labels[j] == j as u32 {
-                res.head[gj] = global(sr.head[j]);
-                res.label_count[gj] = sr.label_count[j];
-            }
-        }
-        for j in first..k {
-            let gj = dy.members[j];
-            dy.dsu[gj as usize] = gj;
-        }
-
-        let (o, a) = lg.into_raw_parts();
-        dy.sub_offsets = o;
-        dy.sub_arcs = a;
-        dy.sub = Some(sub);
     }
 }
 
@@ -1453,10 +1287,9 @@ mod tests {
 
     #[test]
     fn random_batches_match_fresh_solves() {
-        // Up to `DFS_MAX_BUDGET` the result is DFS-initialised and region
-        // sub-solves take the DFS (sequentially at 1, beside parallel
-        // batch passes at the cut-over); one worker past it runs the
-        // pipeline for both.
+        // Up to `DFS_MAX_BUDGET` the attached result and every fallback
+        // are DFS solves; one worker past it they run the pipeline. Region
+        // repairs run the in-place region DFS at every budget.
         for budget in [1, DFS_MAX_BUDGET, DFS_MAX_BUDGET + 1] {
             fastbcc_primitives::with_threads(budget, random_batches_round);
         }
@@ -1576,6 +1409,7 @@ mod tests {
     fn warm_incremental_batches_allocate_nothing() {
         for budget in [1, DFS_MAX_BUDGET, DFS_MAX_BUDGET + 1] {
             fastbcc_primitives::with_threads(budget, warm_batches_round);
+            fastbcc_primitives::with_threads(budget, warm_region_rounds);
         }
     }
 
@@ -1605,5 +1439,59 @@ mod tests {
             }
         }
         assert!(warm_rounds > 0, "no warm incremental rounds measured");
+    }
+
+    /// Warm rounds that repair regions, on a 40×25 grid with a 5-cycle
+    /// hung off each of 40 grid vertices plus 40 separate 5-vertex paths.
+    /// Six grid-only rounds settle the delta scratch; then each round cuts
+    /// a cycle edge (a region re-solve anchored at the grid vertex) and
+    /// joins a path's interior to the grid (a region re-root). Those are
+    /// the engine's first region solves, so above `DFS_MAX_BUDGET` they
+    /// run on the DFS scratch `attach` sized and nothing else.
+    fn warm_region_rounds() {
+        let grid = grid2d(40, 25, false);
+        let mut edges: Vec<(V, V)> = grid.iter_edges().collect();
+        let base = |i: V| 1000 + 9 * i;
+        for i in 0..40 {
+            let ring = [25 * i, base(i), base(i) + 1, base(i) + 2, base(i) + 3];
+            edges.extend((0..5).map(|k| (ring[k], ring[(k + 1) % 5])));
+            edges.extend((base(i) + 4..base(i) + 8).map(|x| (x, x + 1)));
+        }
+        let mut e = BccEngine::new(BccOpts::default());
+        e.attach(&fastbcc_graph::builder::from_edges(1360, &edges));
+        for round in 0..16 {
+            let (dels, adds) = if round < 6 {
+                let cut = grid.iter_edges().nth(37 * round as usize).unwrap();
+                (cut, (7 * round, 7 * round + 2))
+            } else {
+                // Neither endpoint may be a tree root, or the insertion is
+                // an O(1) link instead.
+                let i = round - 6;
+                let parent = &e.result().tags.parent;
+                let inner = |mut x: V| {
+                    while parent[x as usize] == NONE {
+                        x += 1;
+                    }
+                    x
+                };
+                ((base(i), base(i) + 1), (inner(base(i) + 5), inner(500 + i)))
+            };
+            let fresh = e.apply_batch(&[adds], &[dels]).fresh_alloc_bytes;
+            let rep = e.last_apply_report().unwrap();
+            assert!(
+                rep.incremental,
+                "round {round} fell back: {:?}",
+                rep.fallback
+            );
+            if round >= 6 {
+                assert_eq!(
+                    (rep.dels_sub_solve, rep.adds_rerooted),
+                    (1, 1),
+                    "round {round}"
+                );
+                assert_eq!(fresh, 0, "warm region repair allocated (round {round})");
+            }
+        }
+        assert_matches_fresh(&e, "after region rounds");
     }
 }

@@ -1,14 +1,17 @@
 //! The scratch-pooled BCC engine.
 //!
 //! **Which path runs.** [`BccEngine::solve`], [`BccEngine::solve_view`],
-//! [`BccEngine::attach`] and everything `apply_batch` re-solves dispatch
-//! on the thread budget, with no flag: up to [`DFS_MAX_BUDGET`] workers
+//! [`BccEngine::attach`] and `apply_batch`'s fallback solves dispatch on
+//! the thread budget, with no flag: up to [`DFS_MAX_BUDGET`] workers
 //! (`fastbcc_primitives::num_threads() <= 2`) they run one iterative DFS
 //! ([`crate::dfs`]), which measured faster there than the pipeline's
 //! span; above it they run the four-phase FAST-BCC pipeline (paper
 //! Alg. 1). Both write the same [`BccResult`] representation.
 //! [`BccEngine::solve_fast_bcc`] and [`crate::fast_bcc`] always run the
 //! pipeline, which is what the paper's experiments measure.
+//! `apply_batch`'s region repairs run the DFS at every budget, restricted
+//! to the region and in place on the result
+//! ([`crate::dfs::dfs_region_in`]).
 //!
 //! [`fast_bcc`](crate::fast_bcc) answers one query and throws every
 //! intermediate array away. A service answering many BCC queries over
@@ -56,18 +59,20 @@
 //! `fresh() == 0` holds on warm solves at any thread budget.
 
 use crate::algo::{assign_heads_in, BccOpts, BccResult, Breakdown, CcScheme};
-use crate::dfs::{dfs_labels_in, dfs_tags_in, DfsScratch};
+use crate::dfs::{dfs_tags_in, label_sweep, DfsScratch};
 use crate::space::SpaceTracker;
 use crate::tags::{compute_tags_in, TagScratch};
 use fastbcc_connectivity::cc::{ldd_uf_jtb_filtered_in, uf_async_filtered_in, CcScratch};
 use fastbcc_connectivity::ldd::LddOpts;
 use fastbcc_connectivity::spanning_forest::forest_adjacency_in;
 use fastbcc_ett::{root_forest_in, EttScratch, RootedForest};
-use fastbcc_graph::{Graph, GraphView, V};
+use fastbcc_graph::{Graph, GraphView, NONE, V};
 use std::time::Instant;
 
 /// Every reusable per-phase buffer of one solve (either path), sized
-/// lazily on first use and pooled across solves.
+/// lazily on first use and pooled across solves. The DFS stack and
+/// pre-order also carry `apply_batch`'s region repairs, which `attach`
+/// sizes for a region even when the full solve runs the pipeline.
 #[derive(Default)]
 pub struct Workspace {
     /// LDD scratch + concurrent union–find, shared by First-CC and Last-CC.
@@ -86,8 +91,9 @@ pub struct Workspace {
     ett: EttScratch,
     /// Tagging `w1`/`w2` vertex- and tour-ordered buffers.
     tag: TagScratch,
-    /// Stack and pre-order of the budget-1 DFS solve.
-    dfs: DfsScratch,
+    /// Stack and pre-order of the DFS solve, also used by the
+    /// batch-dynamic layer's region repairs.
+    pub(crate) dfs: DfsScratch,
     /// Live/peak/fresh auxiliary-space accounting for the current solve.
     space: SpaceTracker,
 }
@@ -95,34 +101,6 @@ pub struct Workspace {
 impl Workspace {
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Pre-reserve the pooled buffers for an `n`-vertex graph, so even the
-    /// first solve avoids most growth.
-    ///
-    /// `m` (undirected edge count) sizes only the edgeMap frontier layer's
-    /// shared claim-slot buffer, which is bounded by the sparse↔dense
-    /// switch threshold (`max(n, arcs/20)` slots). Everything else is
-    /// `O(n)`: the input CSR is borrowed, and every per-edge pass writes
-    /// only `O(n)` outputs (the spanning forest and ETT arc arrays are
-    /// bounded by `2(n-1)`). The `O(√n)` list-ranking sample tables size
-    /// themselves on first use.
-    pub fn with_capacity(n: usize, m: usize) -> Self {
-        let mut ws = Self::new();
-        ws.cc.reserve(n, 2 * m);
-        ws.first_labels.reserve(n);
-        ws.forest.reserve(n);
-        ws.tree_offsets.reserve(n + 1);
-        ws.tree_arcs.reserve(2 * n);
-        ws.rf.parent.reserve(n);
-        ws.rf.first.reserve(n);
-        ws.rf.last.reserve(n);
-        ws.rf.roots.reserve(n);
-        ws.rf.tour_vertex.reserve(2 * n);
-        ws.ett.reserve(n);
-        ws.tag.reserve(n);
-        ws.dfs.reserve(n);
-        ws
     }
 
     /// The space accounting of the most recent solve.
@@ -166,7 +144,7 @@ pub(crate) fn result_heap_bytes(r: &BccResult) -> usize {
 /// ```
 pub struct BccEngine {
     opts: BccOpts,
-    ws: Workspace,
+    pub(crate) ws: Workspace,
     pub(crate) result: BccResult,
     /// Batch-dynamic state (attached graph, DSU, event scratch); empty
     /// until [`BccEngine::attach`] is called. Boxed so the static solve
@@ -200,26 +178,6 @@ impl BccEngine {
         }
     }
 
-    /// An engine pre-sized for `n`-vertex / `m`-edge inputs (the result
-    /// slot's recycled arrays included).
-    pub fn with_capacity(n: usize, m: usize, opts: BccOpts) -> Self {
-        let mut result = empty_result();
-        result.labels.reserve(n);
-        result.head.reserve(n);
-        result.label_count.reserve(n);
-        result.tags.parent.reserve(n);
-        result.tags.first.reserve(n);
-        result.tags.last.reserve(n);
-        result.tags.low.reserve(n);
-        result.tags.high.reserve(n);
-        Self {
-            opts,
-            ws: Workspace::with_capacity(n, m),
-            result,
-            dynamic: Box::default(),
-        }
-    }
-
     /// The options every solve runs with.
     pub fn opts(&self) -> BccOpts {
         self.opts
@@ -233,7 +191,7 @@ impl BccEngine {
     /// Run the FAST-BCC pipeline and move the result out, consuming the
     /// engine — the one-shot path behind [`crate::fast_bcc`].
     pub fn solve_into(mut self, g: &Graph) -> BccResult {
-        self.run(g, None, Path::FastBcc);
+        self.run(g, Path::FastBcc);
         self.result
     }
 
@@ -261,7 +219,7 @@ impl BccEngine {
     /// reference is valid until the next `solve`; clone fields out if you
     /// need them to outlive it.
     pub fn solve(&mut self, g: &Graph) -> &BccResult {
-        self.run(g, None, Path::for_budget())
+        self.run(g, Path::for_budget())
     }
 
     /// [`solve`](Self::solve) on any [`GraphView`] backend — a flat
@@ -278,7 +236,7 @@ impl BccEngine {
     /// `attach` panics instead of silently evolving a stale CSR.
     pub fn solve_view<G: GraphView>(&mut self, g: &G) -> &BccResult {
         self.dynamic.detach_graph();
-        self.run(g, None, Path::for_budget())
+        self.run(g, Path::for_budget())
     }
 
     /// Run the paper's four-phase FAST-BCC pipeline (First-CC, Rooting,
@@ -287,7 +245,7 @@ impl BccEngine {
     /// batch-dynamic graph like [`solve_view`](Self::solve_view).
     pub fn solve_fast_bcc<G: GraphView>(&mut self, g: &G) -> &BccResult {
         self.dynamic.detach_graph();
-        self.run(g, None, Path::FastBcc)
+        self.run(g, Path::FastBcc)
     }
 
     /// The engine's current result — whatever the most recent
@@ -299,23 +257,7 @@ impl BccEngine {
         &self.result
     }
 
-    /// [`solve`](Self::solve) with a forced spanning-tree root: the DFS
-    /// starts there, and the pipeline remaps `root`'s First-CC component
-    /// label to `root` so [`root_forest_in`] picks it as the tree root.
-    /// Used by the batch-dynamic region re-solver
-    /// ([`Self::apply_batch`]), which must anchor a sub-solve at a block's
-    /// head so the splice keeps the global orientation.
-    pub(crate) fn solve_with_root(&mut self, g: &Graph, root: V) -> &BccResult {
-        self.run(g, Some(root), Path::for_budget())
-    }
-
-    /// Run the DFS solve whatever the budget (the region sub-engine's
-    /// warm-up at [`attach`](Self::attach)).
-    pub(crate) fn solve_dfs(&mut self, g: &Graph) -> &BccResult {
-        self.run(g, None, Path::Dfs)
-    }
-
-    fn run<G: GraphView>(&mut self, g: &G, force_root: Option<V>, path: Path) -> &BccResult {
+    fn run<G: GraphView>(&mut self, g: &G, path: Path) -> &BccResult {
         let n = g.n();
         let heap_before = self.ws.heap_bytes() + result_heap_bytes(&self.result);
         self.ws.space.begin_solve();
@@ -336,8 +278,8 @@ impl BccEngine {
             (0, 0, Breakdown::default())
         } else {
             match path {
-                Path::Dfs => dfs_solve(g, force_root, &mut self.ws, res),
-                Path::FastBcc => fast_bcc_solve(g, force_root, self.opts, &mut self.ws, res),
+                Path::Dfs => dfs_solve(g, &mut self.ws, res),
+                Path::FastBcc => fast_bcc_solve(g, self.opts, &mut self.ws, res),
             }
         };
 
@@ -389,19 +331,24 @@ impl Path {
 /// [`Breakdown::last_cc`]. Returns `(num_bcc, num_cc, breakdown)`.
 fn dfs_solve<G: GraphView>(
     g: &G,
-    force_root: Option<V>,
     ws: &mut Workspace,
     res: &mut BccResult,
 ) -> (usize, usize, Breakdown) {
     let t0 = Instant::now();
-    let num_cc = dfs_tags_in(g, force_root, &mut res.tags, &mut ws.dfs);
+    let num_cc = dfs_tags_in(g, &mut res.tags, &mut ws.dfs);
     let rooting = t0.elapsed();
     ws.space.alloc(res.tags.bytes() + ws.dfs.heap_bytes());
 
     let t1 = Instant::now();
-    let num_bcc = dfs_labels_in(
+    res.labels.clear();
+    res.labels.resize(g.n(), 0);
+    res.head.clear();
+    res.head.resize(g.n(), NONE);
+    res.label_count.clear();
+    res.label_count.resize(g.n(), 0);
+    let num_bcc = label_sweep(
+        ws.dfs.order(),
         &res.tags,
-        &ws.dfs,
         &mut res.labels,
         &mut res.head,
         &mut res.label_count,
@@ -420,7 +367,6 @@ fn dfs_solve<G: GraphView>(
 /// pooled buffers. Returns `(num_bcc, num_cc, breakdown)`.
 fn fast_bcc_solve<G: GraphView>(
     g: &G,
-    force_root: Option<V>,
     opts: BccOpts,
     ws: &mut Workspace,
     res: &mut BccResult,
@@ -455,19 +401,6 @@ fn fast_bcc_solve<G: GraphView>(
     };
     let first_cc = t0.elapsed();
     debug_assert_eq!(ws.forest.len(), n - num_cc);
-    if let Some(r) = force_root {
-        // Remap `r`'s component label to `r` itself. No other vertex
-        // can already carry label `r` (labels are component reps), so
-        // this only moves the root choice, never merges components.
-        let rep = ws.first_labels[r as usize];
-        if rep != r {
-            for v in 0..n {
-                if ws.first_labels[v] == rep {
-                    ws.first_labels[v] = r;
-                }
-            }
-        }
-    }
     // LDD cluster/parent arrays + UF + labels + forest edges, plus the
     // shared frontier-staging buffers the connectivity phases claim
     // through (edgeMap slots, dense bitmaps, local-search stacks).
@@ -648,27 +581,6 @@ mod tests {
             assert_eq!(
                 r.fresh_alloc_bytes, 0,
                 "empty-graph solve dropped pooled capacity"
-            );
-        });
-    }
-
-    #[test]
-    fn with_capacity_presizes() {
-        with_threads(1, || {
-            let g = cycle(512);
-            let mut cold = BccEngine::new(BccOpts::default());
-            let cold_fresh = cold.solve(&g).fresh_alloc_bytes;
-
-            let mut engine = BccEngine::with_capacity(512, 512, BccOpts::default());
-            let before = engine.workspace().heap_bytes();
-            assert!(before >= 4 * 512 * 4, "with_capacity reserved too little");
-            let presized_fresh = engine.solve(&g).fresh_alloc_bytes;
-            assert_eq!(engine.solve(&g).num_bcc, 1);
-            // Pre-sizing must eliminate the bulk of first-solve growth
-            // (only the O(√n) sample tables may still size themselves).
-            assert!(
-                presized_fresh < cold_fresh / 4,
-                "pre-sized first solve still grew {presized_fresh} of {cold_fresh} bytes"
             );
         });
     }

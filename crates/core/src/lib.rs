@@ -16,7 +16,7 @@
 //!    ([`tags`], using the sparse table from `fastbcc-primitives`);
 //! 4. **Last-CC** — run connectivity on the **implicit skeleton** (`G`
 //!    minus fence and back edges, decided in `O(1)` per edge from the
-//!    tags — [`skeleton`]), then assign a component head per label
+//!    tags — [`Tags::in_skeleton`]), then assign a component head per label
 //!    ([`algo`]).
 //!
 //! At thread budgets up to [`engine::DFS_MAX_BUDGET`] (2) the [`engine`]
@@ -37,7 +37,6 @@ pub mod dynamic;
 pub mod engine;
 pub mod postprocess;
 pub mod query;
-pub mod skeleton;
 pub mod space;
 pub mod tags;
 

@@ -7,9 +7,10 @@
 //! Deletions are drawn from the live edge set, so scripts routinely cut
 //! bridges and tree edges, disconnect components, and reconnect them
 //! batches later. Every script runs at budget 1 and at `DFS_MAX_BUDGET`,
-//! where the attached result is DFS-initialised and region sub-solves
-//! take the DFS, and at one worker past it, where both take the pipeline; the fresh reference is always the
-//! FAST-BCC pipeline.
+//! where the attached result and every fallback are DFS solves, and at
+//! one worker past it, where they run the pipeline; region repairs run
+//! the engine's in-place region DFS at every budget. The fresh reference
+//! is always the FAST-BCC pipeline.
 
 use fast_bcc::core::engine::DFS_MAX_BUDGET;
 use fast_bcc::core::postprocess::{articulation_points, bridges};
