@@ -19,8 +19,8 @@
 //! update throughput in edges/s (batch edges over incremental seconds),
 //! how many rounds stayed incremental vs fell back (with the last
 //! fallback reason), the row's totals of the `ApplyReport` mechanism
-//! counters (`dels_*`, `adds_*`, and `rounds_rehang`, the rounds that
-//! ended with a parent re-hang), and the maximum warm
+//! counters (`dels_*`, `adds_*`, and `rehang_vertices`, the vertices the
+//! batch-end re-hang walks reached), and the maximum warm
 //! `fresh_alloc_bytes` over incremental rounds — which the `bench-smoke`
 //! CI gate requires to be 0 (the incremental path must run entirely out
 //! of pooled memory).
@@ -94,9 +94,9 @@ fn main() {
                 let mut warm_fresh_max = 0usize;
                 let mut equal = true;
                 // Mechanism totals over the row's rounds: which path each
-                // deletion and insertion took, and how many rounds re-hung.
+                // deletion and insertion took, and how far the re-hang
+                // walks reached.
                 let mut mech = ApplyReport::default();
-                let mut rounds_rehang = 0usize;
 
                 for (round, (delta, g_round)) in schedule.iter().enumerate() {
                     batch_edges += delta.len();
@@ -114,7 +114,7 @@ fn main() {
                     mech.adds_merged += rep.adds_merged;
                     mech.adds_linked += rep.adds_linked;
                     mech.adds_rerooted += rep.adds_rerooted;
-                    rounds_rehang += usize::from(rep.rehang);
+                    mech.rehang_vertices += rep.rehang_vertices;
                     if rep.incremental {
                         rounds_incremental += 1;
                     } else {
@@ -180,7 +180,7 @@ fn main() {
                     .int("adds_merged", mech.adds_merged)
                     .int("adds_linked", mech.adds_linked)
                     .int("adds_rerooted", mech.adds_rerooted)
-                    .int("rounds_rehang", rounds_rehang)
+                    .int("rehang_vertices", mech.rehang_vertices)
                     .int("warm_fresh_alloc_bytes_max", warm_fresh_max)
                     .flag("equal", equal)
             });

@@ -136,6 +136,80 @@ impl BccResult {
         }
     }
 
+    /// Check the representation against `g`, the graph it describes, and
+    /// name the first violation (test helper). `parent` must be an acyclic
+    /// forest of edges of `g` in which a non-root's parent is its class's
+    /// head or a member of its class and a root is a headless singleton
+    /// class; `label_count` must be the label histogram, a head may sit
+    /// only on a class id, and `num_bcc`/`num_cc` must equal a recount.
+    /// Reads no other tag, since those go stale under
+    /// [`crate::engine::BccEngine::apply_batch`].
+    pub fn verify_representation(&self, g: &Graph) -> Result<(), String> {
+        macro_rules! ensure {
+            ($ok:expr, $($msg:tt)+) => {
+                if !$ok {
+                    return Err(format!($($msg)+));
+                }
+            };
+        }
+        let n = g.n();
+        let (labels, head, parent) = (&self.labels, &self.head, &self.tags.parent);
+        let mut hist = vec![0u32; n];
+        for (v, &l) in labels.iter().enumerate() {
+            ensure!((l as usize) < n, "label {l} of {v} out of range");
+            hist[l as usize] += 1;
+        }
+        ensure!(hist == self.label_count, "label_count is not the histogram");
+        for (l, &h) in head.iter().enumerate() {
+            ensure!(
+                h == NONE || labels[l] == l as u32,
+                "head on {l}, not a class id"
+            );
+        }
+        for (v, &p) in parent.iter().enumerate() {
+            let l = labels[v];
+            if p == NONE {
+                ensure!(
+                    l == v as u32 && head[v] == NONE && hist[v] == 1,
+                    "root {v} is not a headless singleton class"
+                );
+            } else {
+                ensure!(g.has_edge(v as V, p), "parent edge ({p}, {v}) not in graph");
+                ensure!(
+                    p == head[l as usize] || labels[p as usize] == l,
+                    "parent {p} of {v} neither in class {l} nor its head"
+                );
+            }
+        }
+        // Climb from every vertex to a root or to a vertex already known to
+        // reach one; meeting the current climb again is a cycle.
+        let (mut state, mut climb) = (vec![0u8; n], Vec::new());
+        for v in 0..n {
+            let mut x = v;
+            while state[x] != 2 {
+                ensure!(state[x] == 0, "parent cycle through {x}");
+                state[x] = 1;
+                climb.push(x);
+                if parent[x] == NONE {
+                    break;
+                }
+                x = parent[x] as usize;
+            }
+            for y in climb.drain(..) {
+                state[y] = 2;
+            }
+        }
+        let blocks = (0..n as u32).filter(|&l| self.is_bcc_label(l)).count();
+        let roots = parent.iter().filter(|&&p| p == NONE).count();
+        ensure!(
+            (self.num_bcc, self.num_cc) == (blocks, roots),
+            "census (num_bcc, num_cc) = {:?}, recount {:?}",
+            (self.num_bcc, self.num_cc),
+            (blocks, roots)
+        );
+        Ok(())
+    }
+
     /// True iff label `l` denotes a real BCC (≥ 1 edge).
     #[inline]
     pub fn is_bcc_label(&self, l: u32) -> bool {

@@ -187,15 +187,16 @@ pub fn dfs_tags_in<G: GraphView>(g: &G, tags: &mut Tags, scratch: &mut DfsScratc
 /// roots at `members[0]`, then at each member not yet reached, in order,
 /// and writes the pre-order into `scratch`. Any `parent` a member held
 /// before is ignored (a region root comes out with `NONE`), and `first`
-/// counts from 0, so the tags compare only among members. The batch-dynamic
-/// layer re-solves a region this way without copying it out.
+/// counts from 0, so the tags compare only among members. Returns the
+/// number of trees, i.e. the region's connected components. The
+/// batch-dynamic layer re-solves a region this way without copying it out.
 pub fn dfs_region_in<G: GraphView, F: Fn(V) -> bool>(
     g: &G,
     members: &[V],
     inside: F,
     tags: &mut Tags,
     scratch: &mut DfsScratch,
-) {
+) -> usize {
     for &v in members {
         tags.first[v as usize] = UNSEEN;
         tags.parent[v as usize] = NONE;
@@ -203,11 +204,14 @@ pub fn dfs_region_in<G: GraphView, F: Fn(V) -> bool>(
     scratch.stack.clear();
     scratch.order.clear();
     let mut time = 0u32;
+    let mut trees = 0;
     for &r in members {
         if tags.first[r as usize] == UNSEEN {
+            trees += 1;
             time = search(g, r, &inside, tags, scratch, time);
         }
     }
+    trees
 }
 
 /// The pre-order sweep over `order` and the DFS tags: a non-root `v` with
@@ -353,7 +357,8 @@ mod tests {
             let (mut labels, mut head, mut count) = (vec![0; n], vec![NONE; n], vec![0; n]);
             label_sweep(&scratch.order, &t, &mut labels, &mut head, &mut count);
             let before = (arrays(&t), labels.clone(), head.clone());
-            dfs_region_in(&g, &members, |v| local[v as usize] != NONE, &mut t, &mut scratch);
+            let trees = dfs_region_in(&g, &members, |v| local[v as usize] != NONE, &mut t, &mut scratch);
+            prop_assert_eq!(trees, dfs_tags_in(&lg, &mut Tags::default(), &mut DfsScratch::default()));
             for &v in &members {
                 (head[v as usize], count[v as usize]) = (NONE, 0);
             }

@@ -19,13 +19,13 @@
 //!   one augmenting BFS over the vertex-split residual graph): if the block
 //!   minus the edge still carries two internally disjoint paths between the
 //!   endpoints it remains biconnected and **no label changes at all** — for
-//!   a tree edge only the stale `parent` pointer is left for the batch-end
-//!   re-hang. If the certificate fails (the block splits) the block's
-//!   members are collected by a bounded BFS and re-solved in place: the
-//!   engine's own DFS, restricted to the members
-//!   ([`crate::dfs::dfs_region_in`]), rooted at the block head, which
-//!   keeps its global parent and class, then the DFS label sweep over the
-//!   region's pre-order.
+//!   a tree edge only the stale `parent` pointer is left, and the child's
+//!   class is marked for the batch-end re-hang. If the certificate fails
+//!   (the block splits) the block's members are collected by a bounded
+//!   BFS and re-solved in place: the engine's own DFS, restricted to the
+//!   members ([`crate::dfs::dfs_region_in`]), rooted at the block head,
+//!   which keeps its global parent and class, then the DFS label sweep
+//!   over the region's pre-order.
 //! * **Insertions** — an edge inside one block is a no-op. Otherwise the
 //!   two head chains are walked up to their first common block and every
 //!   block strictly between merges (the classic block-cut-path contraction),
@@ -33,24 +33,30 @@
 //!   An edge joining two trees either hangs a tree root under the other
 //!   endpoint, or re-solves one endpoint's whole component with the same
 //!   in-place region DFS and hangs it there.
-//! * **Re-hang** — after certificate-passed tree deletions the `parent`
-//!   array is rebuilt by one multi-source BFS from the existing roots over
-//!   the new graph. Any BFS parent edge of `c` lies in the block of `c`'s
-//!   old parent edge (the block's vertices other than its head are all
-//!   strictly below the head, so a search from the roots must enter through
-//!   the head side), hence `labels`/`head` stay exactly valid.
-//! * **Finalize** — three `O(n)` passes compress the DSU into `labels`,
-//!   clear heads of retired classes (so downstream full-array scans like
-//!   `BccIndex::new` never see ghost blocks), recount the label histogram
-//!   and the BCC/CC census.
+//! * **Re-hang** — only the classes the batch touched are walked: the
+//!   class of every certificate-passed tree deletion's child and every
+//!   class a merge retired or kept. A retired class first folds its
+//!   `label_count` into its representative's and loses its head (so
+//!   downstream full-array scans like `BccIndex::new` never see ghost
+//!   blocks). Then one BFS per live representative `R` starts at
+//!   `head[R]` and enters only vertices whose DSU-resolved label is `R`;
+//!   each vertex it reaches takes its discoverer as `parent` and `R` as
+//!   its label. Labels derive from *any* spanning tree, and every parent
+//!   edge the walk picks lies inside the block it walks (a block minus its
+//!   head stays connected), so `labels`/`head` stay exactly valid and the
+//!   merged labels are compressed on the way. Untouched classes keep their
+//!   parents, whose edges the batch did not delete.
+//! * **Census** — `num_bcc` and `num_cc` are kept by before/after tallies
+//!   over what each mechanism changes (a bridge cut, a link, a merge, a
+//!   region re-solve, a re-root), so no pass over all `n` vertices runs.
 //!
 //! Anything outside the fast paths — a batch above 5% of the edge count,
 //! a cross-component insertion no region re-root absorbs, a cap or budget
-//! overrun, or a re-hang that fails to reach every vertex — falls back to
-//! a full warm `solve` on the already updated graph, so `apply_batch` is
-//! *always* exact; the fallback reason is reported in [`ApplyReport`] for
-//! operator visibility. The caps are the private constants below; there
-//! are no tuning knobs.
+//! overrun, or a re-hang walk that misses a member of its class — falls
+//! back to a full warm `solve` on the already updated graph, so
+//! `apply_batch` is *always* exact; the fallback reason is reported in
+//! [`ApplyReport`] for operator visibility. The caps are the private
+//! constants below; there are no tuning knobs.
 //!
 //! **Tag staleness contract**: after an incremental batch the result's
 //! `tags.parent` is maintained, but `first`/`last`/`low`/`high` are stale.
@@ -108,8 +114,9 @@ pub struct ApplyReport {
     /// Cross-tree insertions absorbed by a region re-root: one endpoint's
     /// whole component re-solved locally and hung under the other.
     pub adds_rerooted: usize,
-    /// Whether the batch ended with a parent re-hang BFS.
-    pub rehang: bool,
+    /// Vertices the batch-end re-hang walks reached: the members of every
+    /// class the batch touched (0 when it touched none).
+    pub rehang_vertices: usize,
 }
 
 /// Per-engine batch-dynamic state. Everything is pooled and era-stamped so
@@ -123,13 +130,16 @@ pub struct DynState {
     delta: GraphDelta,
     delta_scratch: DeltaScratch,
     report: Option<ApplyReport>,
-    // Label DSU (identity outside a batch; `touched` undoes unions).
+    // Label DSU (identity outside a batch). `touched` lists the classes
+    // the batch touched: every merged DSU entry (it also undoes the
+    // unions) and the class of every certificate-passed tree deletion's
+    // child; the batch-end re-hang walks exactly these.
     dsu: Vec<u32>,
     touched: Vec<u32>,
     // Era-stamped scratch shared by the BFS passes.
     era: u32,
-    mark: Vec<u32>,       // n: member / re-hang visitation
-    queue: Vec<V>,        // vertex queue
+    mark: Vec<u32>,       // n: region members / re-hung classes
+    queue: Vec<V>,        // vertex queue (certificate BFS, re-hang walks)
     bfs_mark: Vec<u32>,   // n: certificate BFS1
     bfs_parent: Vec<V>,   // n
     state_mark: Vec<u32>, // 2n: residual-BFS states
@@ -166,8 +176,8 @@ pub const FB_CHAIN: &str = "chain_cap";
 /// [`ApplyReport::fallback`] reason: an affected region exceeded 4096
 /// vertices or 65536 scanned arcs (or had no anchor).
 pub const FB_REGION: &str = "region_cap";
-/// [`ApplyReport::fallback`] reason: the post-deletion re-hang BFS did not
-/// reach every vertex (a certificate raced a same-batch disconnection).
+/// [`ApplyReport::fallback`] reason: a re-hung class's walk did not reach
+/// every member of the class.
 pub const FB_REHANG: &str = "rehang_incomplete";
 /// [`ApplyReport::fallback`] reason: the batch's aggregate incremental
 /// work (certificates, region re-solves, region re-roots) exhausted the
@@ -466,6 +476,8 @@ impl BccEngine {
     /// `fresh_alloc_bytes == 0`.
     pub fn attach(&mut self, g: &Graph) -> &BccResult {
         let n = g.n();
+        // The re-hang walk flags a reached vertex in its label's top bit.
+        assert!(n <= 1 << 31, "apply_batch maintains at most 2^31 vertices");
         self.dynamic.reset_for(n);
         // Re-attaching reuses the previous graph's CSR buffers (a serving
         // rebuilder attaches on every full rebuild; warm re-attaches of a
@@ -579,7 +591,6 @@ impl BccEngine {
         self.dynamic.work_budget = (old.n() + old.m()).max(CERT_CAP);
 
         // ---- Deletions --------------------------------------------------
-        let mut need_rehang = false;
         for i in 0..self.dynamic.delta.dels.len() {
             if self.dynamic.work_budget == 0 {
                 return self.fallback(old, new, report, FB_BUDGET);
@@ -601,9 +612,11 @@ impl BccEngine {
                     && res.label_count[c as usize] == 1
                 {
                     // Bridge: the child class becomes a root; no other
-                    // label moves. CC/BCC counts are fixed by finalize.
+                    // label moves. One block fewer, one tree more.
                     res.head[c as usize] = NONE;
                     res.tags.parent[c as usize] = NONE;
+                    res.num_bcc -= 1;
+                    res.num_cc += 1;
                     report.dels_bridge += 1;
                     continue;
                 }
@@ -623,9 +636,11 @@ impl BccEngine {
             };
             if self.dynamic.cert_two_disjoint(&new, u, v) == Some(true) {
                 // The block stays biconnected; for a tree edge only
-                // `parent[c]` went stale.
+                // `parent[c]` went stale, and the re-hang walks its class.
                 report.dels_cert_pass += 1;
-                need_rehang |= tree_child.is_some();
+                if tree_child.is_some() {
+                    self.dynamic.touched.push(region);
+                }
                 continue;
             }
             if !self.sub_solve(&old, &new, region) {
@@ -676,6 +691,8 @@ impl BccEngine {
                     );
                     res.tags.parent[root_end as usize] = anchor;
                     res.head[root_end as usize] = anchor;
+                    res.num_bcc += 1;
+                    res.num_cc -= 1;
                     report.adds_linked += 1;
                     continue;
                 }
@@ -699,70 +716,10 @@ impl BccEngine {
             }
         }
 
-        // ---- Re-hang ----------------------------------------------------
-        if need_rehang {
-            report.rehang = true;
-            let dy = &mut self.dynamic;
-            let parent = &mut self.result.tags.parent;
-            dy.era = dy.era.wrapping_add(1);
-            let era = dy.era;
-            dy.queue.clear();
-            for r in 0..n {
-                if parent[r] == NONE {
-                    dy.mark[r] = era;
-                    dy.queue.push(r as V);
-                }
-            }
-            let mut qi = 0;
-            while qi < dy.queue.len() {
-                let x = dy.queue[qi];
-                qi += 1;
-                for &w in new.neighbors(x) {
-                    if dy.mark[w as usize] != era {
-                        dy.mark[w as usize] = era;
-                        parent[w as usize] = x;
-                        dy.queue.push(w);
-                    }
-                }
-            }
-            if dy.queue.len() != n {
-                return self.fallback(old, new, report, FB_REHANG);
-            }
-        }
-
-        // ---- Finalize ---------------------------------------------------
-        {
-            let dy = &mut self.dynamic;
-            let res = &mut self.result;
-            for x in res.labels.iter_mut() {
-                *x = {
-                    let mut l = *x;
-                    while dy.dsu[l as usize] != l {
-                        let gp = dy.dsu[dy.dsu[l as usize] as usize];
-                        dy.dsu[l as usize] = gp;
-                        l = gp;
-                    }
-                    l
-                };
-            }
-            for l in 0..n {
-                if res.labels[l] != l as u32 {
-                    res.head[l] = NONE;
-                }
-            }
-            res.label_count.clear();
-            res.label_count.resize(n, 0);
-            for v in 0..n {
-                res.label_count[res.labels[v] as usize] += 1;
-            }
-            res.num_bcc = (0..n)
-                .filter(|&l| res.label_count[l] >= 2 || res.head[l] != NONE)
-                .count();
-            res.num_cc = (0..n).filter(|&v| res.tags.parent[v] == NONE).count();
-            for &t in &dy.touched {
-                dy.dsu[t as usize] = t;
-            }
-            dy.touched.clear();
+        // ---- Re-hang the touched classes ------------------------------
+        match self.rehang_touched(&new) {
+            Some(reached) => report.rehang_vertices = reached,
+            None => return self.fallback(old, new, report, FB_REHANG),
         }
 
         self.dynamic.delta_scratch.recycle(old);
@@ -801,6 +758,84 @@ impl BccEngine {
         report.fallback = Some(reason);
         self.dynamic.report = Some(report);
         &self.result
+    }
+
+    /// Finish a batch over the classes it touched. Each retired class folds
+    /// its count into its representative's and loses its head; then each
+    /// live representative with a head is walked by [`Self::rehang_class`].
+    /// Resets the DSU. Returns the vertices the walks reached, or `None`
+    /// when a walk missed a member of its class.
+    fn rehang_touched(&mut self, new: &Graph) -> Option<usize> {
+        let dy = &mut self.dynamic;
+        let res = &mut self.result;
+        let mut merged = false;
+        for i in 0..dy.touched.len() {
+            let t = dy.touched[i];
+            let r = dy.find(t);
+            if r != t {
+                merged = true;
+                res.label_count[r as usize] += std::mem::take(&mut res.label_count[t as usize]);
+                res.head[t as usize] = NONE;
+            }
+        }
+        dy.era = dy.era.wrapping_add(1);
+        let era = dy.era;
+        let mut reached = Some(0);
+        for i in 0..dy.touched.len() {
+            let r = dy.find(dy.touched[i]);
+            if dy.mark[r as usize] == era || res.head[r as usize] == NONE {
+                continue;
+            }
+            dy.mark[r as usize] = era;
+            let k = Self::rehang_class(dy, new, res, r, merged);
+            if k < res.label_count[r as usize] as usize {
+                reached = None;
+                break;
+            }
+            reached = reached.map(|s| s + k);
+        }
+        for &t in &dy.touched {
+            dy.dsu[t as usize] = t;
+        }
+        dy.touched.clear();
+        reached
+    }
+
+    /// Re-hang and relabel class `r`: a BFS over `new` from `head[r]` that
+    /// enters only vertices whose label resolves to `r` (through the DSU
+    /// only when the batch `merged` classes), giving each its discoverer as
+    /// `parent` and `r` as its label. Returns the vertices it reached.
+    fn rehang_class(
+        dy: &mut DynState,
+        new: &Graph,
+        res: &mut BccResult,
+        r: u32,
+        merged: bool,
+    ) -> usize {
+        // A vertex this walk reached carries `r | WALKED` until it ends, so
+        // one label read per arc both filters and deduplicates. Labels are
+        // vertex ids, below 2^31 (see `attach`).
+        const WALKED: u32 = 1 << 31;
+        let (labels, parent) = (&mut res.labels, &mut res.tags.parent);
+        dy.queue.clear();
+        dy.queue.push(res.head[r as usize]);
+        let mut qi = 0;
+        while qi < dy.queue.len() {
+            let x = dy.queue[qi];
+            qi += 1;
+            for &w in new.neighbors(x) {
+                let l = labels[w as usize];
+                if l == r || (merged && l & WALKED == 0 && dy.find(l) == r) {
+                    labels[w as usize] = r | WALKED;
+                    parent[w as usize] = x;
+                    dy.queue.push(w);
+                }
+            }
+        }
+        for &w in &dy.queue[1..] {
+            labels[w as usize] = r;
+        }
+        dy.queue.len() - 1
     }
 
     /// The root vertex of `x`'s tree, found by climbing the block head
@@ -878,6 +913,8 @@ impl BccEngine {
         let res = &mut self.result;
         res.tags.parent[root_end as usize] = anchor;
         res.head[root_end as usize] = anchor;
+        res.num_bcc += 1;
+        res.num_cc -= 1;
         true
     }
 
@@ -964,22 +1001,21 @@ impl BccEngine {
         };
         debug_assert_ne!(new_head, NONE, "merged block must keep a head");
 
+        // Every merged class is a headed block (a tree root's class never
+        // merges), so each one retired is one block fewer.
         let res = &mut self.result;
-        for &(l, _) in chain_this.iter() {
+        let mut retire = |l: u32| {
             if l != rep {
                 dy.dsu[l as usize] = rep;
                 dy.touched.push(l);
+                res.num_bcc -= 1;
             }
+        };
+        for &(l, _) in chain_this.iter().chain(&chain_other[..pos_other]) {
+            retire(l);
         }
-        for &(l, _) in chain_other[..pos_other].iter() {
-            if l != rep {
-                dy.dsu[l as usize] = rep;
-                dy.touched.push(l);
-            }
-        }
-        if include_d && d != rep {
-            dy.dsu[d as usize] = rep;
-            dy.touched.push(d);
+        if include_d {
+            retire(d);
         }
         dy.touched.push(rep);
         res.head[rep as usize] = new_head;
@@ -1019,7 +1055,10 @@ impl BccEngine {
     /// its pre-order: their classes, heads, counts and parents come from
     /// the region search, and their DSU entries reset to identity. With
     /// `first == 1` the root keeps its global parent and class. Charges the
-    /// region's vertices plus `arcs_scanned` against the batch work budget.
+    /// region's vertices plus `arcs_scanned` against the batch work budget,
+    /// and moves `num_bcc`/`num_cc` by the blocks and trees the re-solve
+    /// made minus those its members held before: a live class of a member
+    /// (a retired one was counted off when it merged) and a member root.
     fn solve_region(&mut self, new: &Graph, era: u32, arcs_scanned: usize, first: usize) {
         let dy = &mut self.dynamic;
         let res = &mut self.result;
@@ -1027,14 +1066,22 @@ impl BccEngine {
         dy.work_budget = dy
             .work_budget
             .saturating_sub(dy.members.len() + arcs_scanned);
+        let (mut blocks_before, mut roots_before) = (0, 0);
         for &v in &dy.members[first..] {
-            res.head[v as usize] = NONE;
-            res.label_count[v as usize] = 0;
-            dy.dsu[v as usize] = v;
+            let x = v as usize;
+            if dy.dsu[x] == v && res.is_bcc_label(v) {
+                blocks_before += 1;
+            }
+            if res.tags.parent[x] == NONE {
+                roots_before += 1;
+            }
+            res.head[x] = NONE;
+            res.label_count[x] = 0;
+            dy.dsu[x] = v;
         }
         let root_parent = res.tags.parent[dy.members[0] as usize];
         let mark = &dy.mark;
-        dfs_region_in(
+        let trees = dfs_region_in(
             new,
             &dy.members,
             |w| mark[w as usize] == era,
@@ -1042,7 +1089,7 @@ impl BccEngine {
             dfs,
         );
         // The root comes first in the pre-order.
-        label_sweep(
+        let blocks = label_sweep(
             &dfs.order()[first..],
             &res.tags,
             &mut res.labels,
@@ -1052,6 +1099,8 @@ impl BccEngine {
         if first == 1 {
             res.tags.parent[dy.members[0] as usize] = root_parent;
         }
+        res.num_bcc = res.num_bcc + blocks - blocks_before;
+        res.num_cc = res.num_cc + (trees - first) - roots_before;
     }
 }
 
@@ -1065,10 +1114,14 @@ mod tests {
     use fastbcc_graph::generators::{grid2d, rmat};
     use proptest::prelude::*;
 
-    /// The incremental result must be indistinguishable from a fresh solve
-    /// of the same (evolved) graph across every label-based consumer.
+    /// The incremental result must keep the representation's invariants
+    /// and be indistinguishable from a fresh solve of the same (evolved)
+    /// graph across every label-based consumer.
     fn assert_matches_fresh(engine: &BccEngine, ctx: &str) {
         let g = engine.graph().expect("attached");
+        if let Err(e) = engine.result.verify_representation(g) {
+            panic!("representation: {e} {ctx}");
+        }
         let fresh = fast_bcc(g, engine.opts());
         let r = &engine.result;
         assert_eq!(r.num_cc, fresh.num_cc, "num_cc {ctx}");
@@ -1247,6 +1300,52 @@ mod tests {
         assert_eq!(rep.dels_cert_pass, 1);
         assert_eq!(rep.dels_sub_solve, 0);
         assert_matches_fresh(&e, "clique minus edge");
+    }
+
+    /// 1,000 four-vertex blocks in a chain: block `i` is a 4-cycle with
+    /// both chords (a `K4`) on `3i ..= 3i + 3`, so consecutive blocks share
+    /// one cut vertex and any single edge can go without splitting a block.
+    fn k4_chain() -> Graph {
+        let mut edges = Vec::new();
+        for i in 0..1000 {
+            let b = 3 * i as V;
+            for x in b..b + 4 {
+                edges.extend((x + 1..b + 4).map(|y| (x, y)));
+            }
+        }
+        fastbcc_graph::builder::from_edges(3001, &edges)
+    }
+
+    #[test]
+    fn cert_passed_tree_deletion_rehangs_only_its_block() {
+        let mut e = BccEngine::new(BccOpts::default());
+        e.attach(&k4_chain());
+        // Vertex 1501 is inside block 500, so its parent edge is a tree
+        // edge of that block.
+        e.apply_batch(&[], &[(e.result.tags.parent[1501], 1501)]);
+        let rep = e.last_apply_report().unwrap();
+        assert!(rep.incremental, "fell back: {:?}", rep.fallback);
+        assert_eq!(rep.dels_cert_pass, 1);
+        assert!(rep.rehang_vertices <= 4, "re-hung {}", rep.rehang_vertices);
+        assert_eq!(e.result.num_bcc, 1000);
+        assert_matches_fresh(&e, "one K4 edge cut");
+    }
+
+    #[test]
+    fn merge_after_cert_passed_deletions_rehangs_the_merged_block_once() {
+        let mut e = BccEngine::new(BccOpts::default());
+        e.attach(&k4_chain());
+        // Cut a tree edge in blocks 500 and 501, then join their non-cut
+        // vertices 1501 and 1504: the two blocks merge through cut 1503.
+        let parent = &e.result.tags.parent;
+        let cuts = [(parent[1501], 1501), (parent[1504], 1504)];
+        e.apply_batch(&[(1501, 1504)], &cuts);
+        let rep = e.last_apply_report().unwrap();
+        assert!(rep.incremental, "fell back: {:?}", rep.fallback);
+        assert_eq!((rep.dels_cert_pass, rep.adds_merged), (2, 1));
+        assert_eq!(rep.rehang_vertices, 6, "one walk over the merged class");
+        assert_eq!(e.result.num_bcc, 999);
+        assert_matches_fresh(&e, "merged after cuts");
     }
 
     #[test]

@@ -256,7 +256,9 @@ impl<T: Send + Sync> Publisher<T> {
         self.retired.push(old);
         self.try_drain()
     }
+}
 
+impl<T> Publisher<T> {
     /// Release the publisher reference of every retired snapshot no hazard
     /// names. Called by [`publish`](Self::publish); callable directly to
     /// bound the backlog during publish-free stretches. Returns how many
@@ -292,35 +294,21 @@ impl<T: Send + Sync> Publisher<T> {
     pub fn retire_backlog(&self) -> usize {
         self.retired.len()
     }
-}
 
-impl<T> Drop for Publisher<T> {
-    fn drop(&mut self) {
-        // Drain the backlog before the retire list disappears. A hazard
-        // window (announce→validate→bump) is a handful of instructions
-        // with no blocking inside, so this usually terminates within a
-        // few spins — but the announcing thread can be descheduled
-        // mid-adoption, so after a short spin burst yield the core back
-        // to the scheduler instead of burning it until the reader runs.
+    /// [`try_drain`](Self::try_drain) until the backlog is empty; returns
+    /// how many references were released. A hazard window
+    /// (announce→validate→bump) is a handful of instructions with no
+    /// blocking inside, so this usually ends within a few spins — but the
+    /// announcing thread can be descheduled mid-adoption, so after a short
+    /// spin burst it yields the core back to the scheduler instead of
+    /// burning it until the reader runs.
+    pub fn drain_all(&mut self) -> usize {
+        let mut released = 0;
         let mut rounds = 0u32;
-        while !self.retired.is_empty() {
-            let inner = &self.inner;
-            self.retired.retain(|&p| {
-                // SeqCst: same hazard-scan protocol as `try_drain`.
-                let hazarded = inner
-                    .slots
-                    .iter()
-                    .any(|s| std::ptr::eq(s.hazard.load(Ordering::SeqCst), p));
-                if hazarded {
-                    return true;
-                }
-                // SAFETY: identical to `try_drain` — retired, unhazarded,
-                // publisher-owned strong count.
-                unsafe { drop(Arc::from_raw(p)) };
-                false
-            });
+        loop {
+            released += self.try_drain();
             if self.retired.is_empty() {
-                break;
+                return released;
             }
             rounds += 1;
             if rounds < 64 {
@@ -329,6 +317,13 @@ impl<T> Drop for Publisher<T> {
                 std::thread::yield_now();
             }
         }
+    }
+}
+
+impl<T> Drop for Publisher<T> {
+    fn drop(&mut self) {
+        // Drain the backlog before the retire list disappears.
+        self.drain_all();
     }
 }
 
@@ -409,6 +404,22 @@ mod tests {
         drop(handle);
         // The final snapshot (version 2) dies with the cell.
         assert_eq!(drops.load(Ordering::Relaxed), 3);
+    }
+
+    #[test]
+    fn drain_all_releases_a_snapshot_once_its_hazard_clears() {
+        let drops = Arc::new(AtomicUsize::new(0));
+        let (mut publisher, _handle) = new(tracked(0, &drops), 2);
+        // A reader caught between announce and validate on version 0.
+        let inner = publisher.inner.clone();
+        let hazard = &inner.slots[0].hazard;
+        hazard.store(inner.current.load(Ordering::SeqCst), Ordering::SeqCst);
+        assert_eq!(publisher.publish(tracked(1, &drops)), 0);
+        assert_eq!(publisher.retire_backlog(), 1);
+        hazard.store(std::ptr::null_mut(), Ordering::SeqCst);
+        assert_eq!(publisher.drain_all(), 1);
+        assert_eq!(publisher.retire_backlog(), 0);
+        assert_eq!(drops.load(Ordering::Relaxed), 1);
     }
 
     #[test]

@@ -507,6 +507,20 @@ impl Rebuilder {
     }
 }
 
+impl Drop for Rebuilder {
+    /// Drain the retire list before the publisher goes, so the stats show
+    /// the drain: `snapshots_retired` counts every released snapshot and
+    /// `retire_backlog` reads 0 once the rebuilder is gone.
+    fn drop(&mut self) {
+        let freed = self.publisher.drain_all();
+        let stats = &self.stats;
+        stats
+            .snapshots_retired
+            .fetch_add(freed as u64, Ordering::Relaxed);
+        stats.retire_backlog.store(0, Ordering::Relaxed);
+    }
+}
+
 /// Solve `g` once, publish it as snapshot version 1, and return the
 /// service's two halves: the cloneable [`ServiceHandle`] (readers,
 /// observability) and the single [`Rebuilder`] (background publishes).
@@ -810,5 +824,18 @@ mod tests {
         assert_eq!(rep.snapshots_dropped, 5);
         assert_eq!(rep.retire_backlog, 0);
         assert_eq!(rep.rebuilds, 5);
+    }
+
+    #[test]
+    fn dropping_the_rebuilder_clears_the_retire_backlog_gauge() {
+        let (handle, mut rebuilder) = start(&path(5), ServeOpts::default());
+        rebuilder.rebuild(&path(5));
+        // The gauge a publish leaves when a reader still hazards the
+        // snapshot it replaced; the drop's drain must overwrite it.
+        rebuilder.stats.retire_backlog.store(1, Ordering::Relaxed);
+        drop(rebuilder);
+        let rep = handle.stats_report();
+        assert_eq!(rep.retire_backlog, 0);
+        assert_eq!(rep.snapshots_retired, 1);
     }
 }

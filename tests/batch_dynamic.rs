@@ -1,7 +1,9 @@
 //! Batch-dynamic equivalence: after every `BccEngine::apply_batch`, the
-//! engine's result must be indistinguishable from a fresh solve of the
-//! evolved graph — same component and block counts, same canonical BCCs,
-//! same articulation vertices and bridges, same query-index answers — no
+//! engine's result must keep the representation's invariants
+//! (`BccResult::verify_representation`) and be indistinguishable from a
+//! fresh solve of the evolved graph — same component and block counts,
+//! same canonical BCCs, same articulation vertices and bridges, same
+//! query-index answers — no
 //! matter which internal path (bridge fast paths, certificates, region
 //! re-solves, region re-roots, or the full-solve fallback) the batch took.
 //! Deletions are drawn from the live edge set, so scripts routinely cut
@@ -20,9 +22,13 @@ use fast_bcc::primitives::with_threads;
 use fast_bcc::BccOpts;
 use proptest::prelude::*;
 
-/// The engine's current result vs a from-scratch solve of the same graph.
+/// The engine's current result vs a from-scratch solve of the same graph,
+/// after checking the maintained representation's own invariants.
 fn assert_matches_fresh(engine: &BccEngine, ctx: &str) {
     let g = engine.graph().expect("engine is attached");
+    if let Err(e) = engine.result().verify_representation(g) {
+        panic!("representation: {e} {ctx}");
+    }
     let mut fresh = BccEngine::new(BccOpts::default());
     fresh.solve_fast_bcc(g);
     assert_eq!(

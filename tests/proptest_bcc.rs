@@ -128,13 +128,10 @@ proptest! {
 /// The `O(n)` representation's own invariants on a result of `g`.
 fn check_representation(g: &Graph, r: &BccResult) -> Result<(), TestCaseError> {
     let n = g.n();
-    // Labels index real vertices; label_count is a correct histogram.
-    let mut hist = vec![0u32; n];
-    for v in 0..n {
-        prop_assert!((r.labels[v] as usize) < n);
-        hist[r.labels[v] as usize] += 1;
-    }
-    prop_assert_eq!(&hist, &r.label_count);
+    // Labels index real vertices, label_count is their histogram, the
+    // parent forest hangs every class under its head, and the census
+    // recounts (the checks `apply_batch` results must pass too).
+    r.verify_representation(g).map_err(TestCaseError::fail)?;
     // A head never belongs to the label it heads.
     for l in 0..n {
         let h = r.head[l];
