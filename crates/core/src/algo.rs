@@ -224,8 +224,10 @@ impl BccResult {
     /// has exactly one head, so for any two co-members at least one carries
     /// the label itself — three comparisons decide the query.
     ///
-    /// Requires `u != v`; for single-vertex membership use
-    /// [`crate::postprocess::bcc_membership_counts`].
+    /// Requires `u != v`. A vertex belongs to some BCC iff
+    /// [`BccIndex::same_bcc`](crate::query::BccIndex::same_bcc)`(u, u)`
+    /// holds on the result's index, or iff its entry in the per-vertex
+    /// tally [`crate::postprocess::bcc_membership_counts`] is nonzero.
     #[inline]
     pub fn same_bcc(&self, u: V, v: V) -> bool {
         debug_assert_ne!(u, v, "same_bcc is defined for distinct vertices");

@@ -61,8 +61,9 @@
 //! **Tag staleness contract**: after an incremental batch the result's
 //! `tags.parent` is maintained, but `first`/`last`/`low`/`high` are stale.
 //! Every shipped consumer (`bcc_of_edge`, `same_bcc`, `canonical_bccs`,
-//! `articulation_points`, `bridges`, `block_cut_tree`, `BccIndex::new`)
-//! reads only `labels`/`head`/`label_count`/`parent`.
+//! `bcc_membership_counts`, `articulation_points`, `bridges`,
+//! `largest_bcc_size`, `block_cut_tree`, `BccIndex::build`/`new`) reads
+//! only `labels`/`head`/`label_count`/`parent`.
 
 use crate::algo::BccResult;
 use crate::dfs::{dfs_region_in, label_sweep};

@@ -41,7 +41,7 @@ pub mod space;
 pub mod tags;
 
 pub use algo::{fast_bcc, BccOpts, BccResult, Breakdown, CcScheme};
-pub use block_cut_tree::{block_cut_tree, BcNode, BlockCutTree};
+pub use block_cut_tree::{block_cut_tree, BlockCutTree};
 pub use dynamic::{ApplyReport, FALLBACK_REASONS};
 pub use engine::{BccEngine, Workspace};
 pub use postprocess::{articulation_points, bridges, canonical_bccs, largest_bcc_size};

@@ -2,16 +2,18 @@
 //! sets, articulation points, bridges, largest-BCC statistics, and the
 //! canonical form used to compare algorithms.
 //!
+//! Per-vertex BCC membership has one tally, [`bcc_membership_counts`]:
+//! a vertex is an articulation point iff it belongs to at least two BCCs.
+//! The block–cut forest ([`crate::block_cut_tree::block_cut_tree`]) takes
+//! its cut nodes from the same tally, in `O(n)` work.
+//!
 //! A BCC in the representation is a label class `{v : l[v] = L}` together
 //! with its component head (when assigned). Vertex sets identify BCCs
 //! uniquely because two distinct BCCs share at most one vertex (Fact 4.1).
 
 use crate::algo::BccResult;
 use fastbcc_graph::{NONE, V};
-use fastbcc_primitives::atomics::as_atomic_u32;
 use fastbcc_primitives::pack::pack_index;
-use fastbcc_primitives::par::par_for;
-use std::sync::atomic::Ordering;
 
 /// Explicit vertex sets of every BCC, canonicalized: each BCC sorted
 /// ascending, BCCs sorted lexicographically. Suitable for equality
@@ -38,45 +40,23 @@ pub fn canonical_bccs(r: &BccResult) -> Vec<Vec<V>> {
     out
 }
 
-/// Per vertex, whether it belongs to ≥ 2 BCCs, i.e. is an articulation
-/// point. One plain pass: a vertex is in its own label class (when that
-/// is a real BCC) and in every label it heads, and a saturating `u8`
-/// tally of both is all the cut test needs.
-pub(crate) fn cut_flags(r: &BccResult) -> Vec<bool> {
+/// Number of BCCs each vertex belongs to (0 for isolated vertices): the
+/// one cut/membership tally, which [`articulation_points`] and
+/// [`crate::block_cut_tree::block_cut_tree`] read their cut test
+/// (`count >= 2`) from. One plain pass: a vertex is in its own label class
+/// (when that is a real BCC) and in every label it heads.
+pub fn bcc_membership_counts(r: &BccResult) -> Vec<u32> {
     let n = r.labels.len();
-    let mut seen = vec![0u8; n];
+    let mut counts = vec![0u32; n];
     for v in 0..n {
         if r.is_bcc_label(r.labels[v]) {
-            seen[v] = seen[v].saturating_add(1);
+            counts[v] += 1;
         }
         // A headed label always has an edge, so it is a BCC label.
         let h = r.head[v];
         if h != NONE {
-            seen[h as usize] = seen[h as usize].saturating_add(1);
+            counts[h as usize] += 1;
         }
-    }
-    seen.into_iter().map(|c| c >= 2).collect()
-}
-
-/// Number of BCCs each vertex belongs to (0 for isolated vertices).
-pub fn bcc_membership_counts(r: &BccResult) -> Vec<u32> {
-    let n = r.labels.len();
-    let mut counts = vec![0u32; n];
-    {
-        let c = as_atomic_u32(&mut counts);
-        // Own label class (when it is a real BCC)…
-        par_for(n, |v| {
-            if r.is_bcc_label(r.labels[v]) {
-                c[v].fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        // …plus one per BCC this vertex heads.
-        par_for(n, |l| {
-            let h = r.head[l];
-            if h != NONE && r.is_bcc_label(l as u32) {
-                c[h as usize].fetch_add(1, Ordering::Relaxed);
-            }
-        });
     }
     counts
 }
@@ -84,8 +64,8 @@ pub fn bcc_membership_counts(r: &BccResult) -> Vec<u32> {
 /// Articulation points: vertices belonging to ≥ 2 BCCs (Lemma 4.4 ties
 /// this to being a BCC head, but membership counting also handles roots).
 pub fn articulation_points(r: &BccResult) -> Vec<V> {
-    let cut = cut_flags(r);
-    pack_index(cut.len(), |v| cut[v])
+    let count = bcc_membership_counts(r);
+    pack_index(count.len(), |v| count[v] >= 2)
 }
 
 /// Bridges: tree edges whose BCC is a single edge — label classes of size 1
@@ -202,21 +182,6 @@ mod tests {
         assert_eq!(c[0], 5); // center in all 5 triangles
         for v in 1..g.n() {
             assert_eq!(c[v], 1);
-        }
-    }
-
-    #[test]
-    fn cut_flags_match_membership_counts() {
-        for g in [
-            windmill(5),
-            barbell(4, 2),
-            clique_chain(5, 4),
-            disjoint_union(&[&path(6), &cycle(4), &Graph::empty(2)]),
-        ] {
-            let r = result(&g);
-            let counts = bcc_membership_counts(&r);
-            let flags = cut_flags(&r);
-            assert!(counts.iter().zip(&flags).all(|(&c, &f)| f == (c >= 2)));
         }
     }
 

@@ -16,7 +16,9 @@
 //! **block–cut forest** instead of the input graph. The result is already
 //! rooted: a BCC is a label class plus its head, the tree parent of the
 //! class's top vertex, so every forest node's parent is one
-//! `labels`/`head` lookup ([`mod@crate::block_cut_tree`]). One iterative
+//! `labels`/`head` lookup, and [`block_cut_tree`] derives the whole forest
+//! as parent pointers in `O(n)` work. [`BccIndex::build`] reads that
+//! forest; [`BccIndex::new`] derives it once and builds. One iterative
 //! walk over the parent pointers' children lists writes the Euler tour,
 //! each node's `first` position, its tree (`comp`), and per-node prefix
 //! counts of cut nodes (`cuts_to_root`). A position-returning block RMQ
@@ -38,7 +40,7 @@
 //! solve path honors.
 
 use crate::algo::BccResult;
-use crate::block_cut_tree::{forest, BlockCutTree, Forest};
+use crate::block_cut_tree::{block_cut_tree, BlockCutTree};
 use fastbcc_graph::{NONE, V};
 use fastbcc_primitives::par::{par_for, par_for_grain};
 use fastbcc_primitives::rmq::{ArgRmq, RmqKind};
@@ -166,26 +168,31 @@ pub struct BccIndex {
 }
 
 impl BccIndex {
-    /// Build the index from a solve result. `O(n)` work.
+    /// Build the index from a solve result: [`build`](Self::build) over
+    /// the result's [`block_cut_tree`]. `O(n)` work.
+    pub fn new(r: &BccResult) -> Self {
+        Self::build(r, &block_cut_tree(r))
+    }
+
+    /// Build the index from a solve result and its block–cut forest `t`
+    /// (which must be `block_cut_tree(r)`). `O(n)` work.
     ///
-    /// The block–cut forest comes straight from the result: every node's
-    /// parent is one `labels`/`head` lookup (see
-    /// [`mod@crate::block_cut_tree`]). The vertex tables and the parent
-    /// pointers are parallel passes; the children CSR and the one walk
-    /// that writes the Euler tour, `first`, `comp` and `cuts_to_root` run
-    /// sequentially over the forest's at most `2n` nodes.
+    /// The vertex tables are parallel passes over `t`'s rank tables; the
+    /// children CSR of `t`'s parent pointers and the one walk that writes
+    /// the Euler tour, `first`, `comp` and `cuts_to_root` run sequentially
+    /// over the forest's at most `2n` nodes.
     ///
     /// Panics if `(labels, head)` do not describe a forest: the walk then
     /// misses the nodes on a parent-pointer cycle.
-    pub fn new(r: &BccResult) -> Self {
+    pub fn build(r: &BccResult, t: &BlockCutTree) -> Self {
         let n = r.labels.len();
-        let Forest {
+        let BlockCutTree {
             blocks,
             block_rank,
             cut_id,
             parent,
             ..
-        } = forest(r);
+        } = t;
         let nb = blocks.len();
         let nodes = parent.len();
 
@@ -207,7 +214,6 @@ impl BccIndex {
         let mut node_of = vec![NONE; n];
         {
             let view = UnsafeSlice::new(&mut node_of);
-            let (cut_id, block_rank) = (&cut_id, &block_rank);
             par_for(n, |v| {
                 let x = if cut_id[v] != NONE {
                     nb as u32 + cut_id[v]
@@ -234,14 +240,13 @@ impl BccIndex {
                 }
             });
         }
-        drop(block_rank);
 
         // Children CSR, by counting nodes per parent: count into
         // `kid_off[p]`, scan to range ends, then place the nodes in
         // descending order while stepping each end back to its start, so
         // every child list ascends.
         let mut kid_off = vec![0u32; nodes + 1];
-        for &p in &parent {
+        for &p in parent {
             if p != NONE {
                 kid_off[p as usize] += 1;
             }
@@ -317,7 +322,7 @@ impl BccIndex {
             labels: r.labels.clone(),
             head: r.head.clone(),
             block_size,
-            cut_id,
+            cut_id: cut_id.clone(),
             node_of,
             num_block_nodes: nb,
             comp,
@@ -327,17 +332,6 @@ impl BccIndex {
             lca,
             version: 0,
         }
-    }
-
-    /// Build the index from a solve result and its block–cut tree: the
-    /// same index as [`new`](Self::new), which derives the forest itself.
-    pub fn build(r: &BccResult, t: &BlockCutTree) -> Self {
-        let ix = Self::new(r);
-        debug_assert_eq!(
-            (ix.num_blocks(), ix.num_cuts()),
-            (t.blocks.len(), t.cuts.len())
-        );
-        ix
     }
 
     /// The caller-assigned graph-version tag (0 if never set).
@@ -352,11 +346,6 @@ impl BccIndex {
     /// the graph that produced it.
     pub fn set_version(&mut self, version: u64) {
         self.version = version;
-    }
-
-    /// Vertex count of the indexed graph.
-    pub fn num_vertices(&self) -> usize {
-        self.labels.len()
     }
 
     /// Number of block nodes (= biconnected components).
@@ -518,10 +507,7 @@ impl BccIndex {
 mod tests {
     use super::*;
     use crate::algo::{fast_bcc, BccOpts};
-    use crate::block_cut_tree::block_cut_tree;
-    use fastbcc_graph::builder::from_edges;
     use fastbcc_graph::generators::classic::*;
-    use fastbcc_graph::stats::cc_labels_seq;
     use fastbcc_graph::Graph;
 
     fn index_of(g: &Graph) -> BccIndex {
@@ -665,14 +651,14 @@ mod tests {
         assert!(ix.same_bcc(0, last) && !ix.same_bcc(1, last));
     }
 
-    /// The walk's tables against the block–cut tree's edge list: every
-    /// node's `first` position holds it, the tour has `2·nodes − roots`
-    /// positions, and two nodes share `comp` iff the edge list connects
-    /// them.
+    /// The walk's tables against the block–cut forest's parent pointers:
+    /// every node's `first` position holds it, the tour has
+    /// `2·nodes − roots` positions, and each node's `comp` is the root its
+    /// parent pointers climb to.
     fn check_forest_tables(g: &Graph) {
         let r = fast_bcc(g, BccOpts::default());
-        let ix = BccIndex::new(&r);
         let t = block_cut_tree(&r);
+        let ix = BccIndex::build(&r, &t);
         let nodes = ix.node_count();
         assert_eq!(
             (ix.num_blocks(), ix.num_cuts()),
@@ -680,30 +666,14 @@ mod tests {
         );
         for x in 0..nodes {
             assert_eq!(ix.tour_node[ix.first[x] as usize], x as u32, "node {x}");
+            let mut root = x;
+            while t.parent[root] != NONE {
+                root = t.parent[root] as usize;
+            }
+            assert_eq!(ix.comp[x], root as u32, "node {x}");
         }
-        let nb = t.blocks.len() as V;
-        let edges: Vec<(V, V)> = t
-            .edges
-            .iter()
-            .map(|&(b, c)| {
-                let bi = t.blocks.binary_search(&b).unwrap() as V;
-                (bi, nb + t.cut_rank(c).unwrap() as V)
-            })
-            .collect();
-        let cc = cc_labels_seq(&from_edges(nodes, &edges));
-        let mut roots: Vec<u32> = cc.clone();
-        roots.sort_unstable();
-        roots.dedup();
-        assert_eq!(ix.tour_node.len(), 2 * nodes - roots.len());
-        // comp and cc induce the same partition: each maps onto the other.
-        let (mut to_cc, mut to_comp) = (vec![NONE; nodes], vec![NONE; nodes]);
-        for x in 0..nodes {
-            let (a, b) = (ix.comp[x] as usize, cc[x] as usize);
-            assert!(to_cc[a] == NONE || to_cc[a] == cc[x], "node {x}");
-            assert!(to_comp[b] == NONE || to_comp[b] == ix.comp[x], "node {x}");
-            to_cc[a] = cc[x];
-            to_comp[b] = ix.comp[x];
-        }
+        let roots = t.parent.iter().filter(|&&p| p == NONE).count();
+        assert_eq!(ix.tour_node.len(), 2 * nodes - roots);
     }
 
     #[test]

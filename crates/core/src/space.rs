@@ -85,11 +85,6 @@ impl SpaceTracker {
         self.live = self.live.saturating_sub(bytes);
     }
 
-    /// Register a `Vec`'s heap footprint.
-    pub fn alloc_vec<T>(&mut self, v: &[T]) {
-        self.alloc(std::mem::size_of_val(v));
-    }
-
     /// Currently live auxiliary bytes.
     pub fn live(&self) -> usize {
         self.live
@@ -119,13 +114,5 @@ mod tests {
         assert_eq!(t.peak(), 150);
         t.alloc(200);
         assert_eq!(t.peak(), 270);
-    }
-
-    #[test]
-    fn alloc_vec_counts_payload() {
-        let mut t = SpaceTracker::new();
-        let v = vec![0u32; 256];
-        t.alloc_vec(&v);
-        assert_eq!(t.live(), 1024);
     }
 }

@@ -116,17 +116,6 @@ pub fn cc_labels_seq(g: &Graph) -> Vec<u32> {
     label
 }
 
-/// Degree summary: (min, max, average).
-pub fn degree_stats(g: &Graph) -> (usize, usize, f64) {
-    if g.n() == 0 {
-        return (0, 0, 0.0);
-    }
-    let degs = (0..g.n() as V).map(|v| g.degree(v));
-    let min = degs.clone().min().unwrap();
-    let max = degs.clone().max().unwrap();
-    (min, max, g.m() as f64 / g.n() as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,13 +161,5 @@ mod tests {
         assert_eq!(l[1], l[2]);
         assert_eq!(l[3], l[4]);
         assert_ne!(l[0], l[3]);
-    }
-
-    #[test]
-    fn degree_stats_basic() {
-        let (min, max, avg) = degree_stats(&star(5));
-        assert_eq!(min, 1);
-        assert_eq!(max, 4);
-        assert!((avg - 8.0 / 5.0).abs() < 1e-9);
     }
 }

@@ -43,32 +43,6 @@ pub fn write_max_u32(a: &AtomicU32, v: u32) -> bool {
     false
 }
 
-/// Atomically set `*a = min(*a, v)` for 64-bit cells.
-#[inline]
-pub fn write_min_u64(a: &AtomicU64, v: u64) -> bool {
-    let mut cur = a.load(Ordering::Relaxed);
-    while v < cur {
-        match a.compare_exchange_weak(cur, v, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => return true,
-            Err(now) => cur = now,
-        }
-    }
-    false
-}
-
-/// Atomically set `*a = max(*a, v)` for 64-bit cells.
-#[inline]
-pub fn write_max_u64(a: &AtomicU64, v: u64) -> bool {
-    let mut cur = a.load(Ordering::Relaxed);
-    while v > cur {
-        match a.compare_exchange_weak(cur, v, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => return true,
-            Err(now) => cur = now,
-        }
-    }
-    false
-}
-
 /// One-shot test-and-set: returns `true` for exactly one caller.
 #[inline]
 pub fn try_claim(flag: &AtomicBool) -> bool {
@@ -138,20 +112,6 @@ mod tests {
         let expect = (0..100_000u64)
             .map(|i| crate::rng::hash64(i) as u32 | 1)
             .min()
-            .unwrap();
-        assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn write_max_converges_to_global_max() {
-        let cell = AtomicU64::new(0);
-        par_for(100_000, |i| {
-            write_max_u64(&cell, crate::rng::hash64(i as u64 + 7));
-        });
-        let got = cell.load(Ordering::Relaxed);
-        let expect = (0..100_000u64)
-            .map(|i| crate::rng::hash64(i + 7))
-            .max()
             .unwrap();
         assert_eq!(got, expect);
     }

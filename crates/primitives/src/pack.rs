@@ -189,19 +189,6 @@ where
     pack_map(xs.len(), |i| pred(&xs[i]), |i| xs[i])
 }
 
-/// Combined filter+map over a slice.
-pub fn filter_map_slice<T, U, F>(xs: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Copy + Send + Sync,
-    F: Fn(&T) -> Option<U> + Sync,
-{
-    // Two-pass evaluation of `f` keeps this allocation-free per element; the
-    // callers' `f` is cheap (tag predicates), so recomputation is the right
-    // trade versus materializing Options.
-    pack_map(xs.len(), |i| f(&xs[i]).is_some(), |i| f(&xs[i]).unwrap())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -245,14 +232,6 @@ mod tests {
         let xs: Vec<u64> = (0..30_000).map(hash64).collect();
         let got = filter_slice(&xs, |&x| x % 2 == 0);
         let want: Vec<u64> = xs.iter().copied().filter(|&x| x % 2 == 0).collect();
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn filter_map_slice_works() {
-        let xs: Vec<u32> = (0..10_000).collect();
-        let got = filter_map_slice(&xs, |&x| if x % 7 == 0 { Some(x * 2) } else { None });
-        let want: Vec<u32> = (0..10_000).filter(|x| x % 7 == 0).map(|x| x * 2).collect();
         assert_eq!(got, want);
     }
 

@@ -134,11 +134,6 @@ impl ServiceHandle {
         self.stats.current_version()
     }
 
-    /// Readers currently registered / the roster capacity.
-    pub fn reader_occupancy(&self) -> (usize, usize) {
-        (self.cell.registered_readers(), self.cell.max_readers())
-    }
-
     /// Queue an edge batch for the rebuilder. The delta is applied (and a
     /// new snapshot version published) at the rebuilder's next
     /// [`Rebuilder::rebuild_pending`] call; readers keep answering against

@@ -59,7 +59,7 @@ pub use fastbcc_core::{
 
 /// Everything a typical user needs in scope.
 pub mod prelude {
-    pub use fastbcc_core::block_cut_tree::{block_cut_tree, BcNode, BlockCutTree};
+    pub use fastbcc_core::block_cut_tree::{block_cut_tree, BlockCutTree};
     pub use fastbcc_core::postprocess::{
         articulation_points, bcc_membership_counts, bridges, canonical_bccs, largest_bcc_size,
     };

@@ -2,7 +2,8 @@
 //! FAST-BCC's output, and the budget-1 engine's DFS solve's, must match the
 //! sequential Hopcroft–Tarjan oracle — BCC sets, articulation points, and
 //! bridges — and the `O(n)` representation must satisfy its own
-//! invariants on both.
+//! invariants on both. A random vertex relabelling must map every answer
+//! through the permutation.
 
 use fast_bcc::baselines::hopcroft_tarjan;
 use fast_bcc::prelude::*;
@@ -104,13 +105,66 @@ proptest! {
 
     #[test]
     fn block_cut_tree_is_a_forest(g in arb_graph(40, 90)) {
-        let r = fast_bcc(&g, BccOpts::default());
-        let t = fast_bcc::core::block_cut_tree::block_cut_tree(&r);
-        t.verify_forest();
-        // Cuts are exactly the articulation points.
-        prop_assert_eq!(t.cuts, articulation_points(&r));
-        // Every block node is a real BCC label; counts match.
-        prop_assert_eq!(t.blocks.len(), r.num_bcc);
+        check_block_cut_tree(&fast_bcc(&g, BccOpts::default()))?;
+        with_threads(1, || check_block_cut_tree(BccEngine::new(BccOpts::default()).solve(&g)))?;
+    }
+
+    #[test]
+    fn relabelling_maps_every_answer_through_the_permutation(
+        g in arb_graph(40, 90),
+        seed in any::<u64>(),
+    ) {
+        let n = g.n();
+        let mut perm: Vec<V> = (0..n as V).collect();
+        fast_bcc::primitives::rng::Rng::new(seed).shuffle(&mut perm);
+        let h = fast_bcc::graph::permute::relabel(&g, &perm);
+        let map = |v: V| perm[v as usize];
+        let probe = random_mixed_batch(n, 256, seed);
+        let mapped: Vec<Query> = probe
+            .iter()
+            .map(|&q| match q {
+                Query::SameBcc(u, v) => Query::SameBcc(map(u), map(v)),
+                Query::IsArticulation(v) => Query::IsArticulation(map(v)),
+                Query::IsBridge(u, v) => Query::IsBridge(map(u), map(v)),
+                Query::CutVerticesOnPath(u, v) => Query::CutVerticesOnPath(map(u), map(v)),
+            })
+            .collect();
+        // Budget 1 solves by DFS, DFS_MAX_BUDGET + 1 by the pipeline.
+        for budget in [1, fast_bcc::core::engine::DFS_MAX_BUDGET + 1] {
+            let mut engines = [BccEngine::new(BccOpts::default()), BccEngine::new(BccOpts::default())];
+            let [ea, eb] = &mut engines;
+            let (a, b) = with_threads(budget, || (ea.solve(&g), eb.solve(&h)));
+            let mut want: Vec<Vec<V>> = canonical_bccs(a)
+                .into_iter()
+                .map(|set| {
+                    let mut set: Vec<V> = set.into_iter().map(map).collect();
+                    set.sort_unstable();
+                    set
+                })
+                .collect();
+            want.sort_unstable();
+            prop_assert_eq!(canonical_bccs(b), want, "budget {}", budget);
+            let mut want: Vec<V> = articulation_points(a).into_iter().map(map).collect();
+            want.sort_unstable();
+            prop_assert_eq!(articulation_points(b), want, "budget {}", budget);
+            let edge_set = |e: Vec<(V, V)>| {
+                let mut e: Vec<(V, V)> = e.into_iter().map(|(x, y)| (x.min(y), x.max(y))).collect();
+                e.sort_unstable();
+                e
+            };
+            let want = edge_set(bridges(a).into_iter().map(|(x, y)| (map(x), map(y))).collect());
+            prop_assert_eq!(edge_set(bridges(b)), want, "budget {}", budget);
+            let (ta, tb) = (block_cut_tree(a), block_cut_tree(b));
+            prop_assert_eq!(
+                (ta.blocks.len(), ta.cuts.len()),
+                (tb.blocks.len(), tb.cuts.len()),
+                "budget {}", budget
+            );
+            let (ia, ib) = (BccIndex::build(a, &ta), BccIndex::build(b, &tb));
+            for (q, m) in probe.iter().zip(&mapped) {
+                prop_assert_eq!(ia.answer(*q), ib.answer(*m), "{:?} at budget {}", q, budget);
+            }
+        }
     }
 
     #[test]
@@ -123,6 +177,43 @@ proptest! {
         prop_assert_eq!(canonical_bccs(&a), canonical_bccs(&b));
         prop_assert_eq!(canonical_bccs(&a), canonical_bccs(&c));
     }
+}
+
+/// The block–cut forest of `r` against the result's own tallies: its
+/// parent pointers climb to a root within `node_count` steps, blocks and
+/// cuts alternate along them, its cuts are the articulation points, its
+/// blocks the BCCs, and each cut's forest degree (children plus parent) is
+/// the number of BCCs the vertex belongs to.
+fn check_block_cut_tree(r: &BccResult) -> Result<(), TestCaseError> {
+    let t = block_cut_tree(r);
+    let (nb, nodes) = (t.blocks.len(), t.node_count());
+    prop_assert_eq!(&t.cuts, &articulation_points(r));
+    prop_assert_eq!(nb, r.num_bcc);
+    let mut degree = vec![0usize; nodes];
+    for x in 0..nodes {
+        let p = t.parent[x];
+        if p != NONE {
+            prop_assert!(
+                (x < nb) != ((p as usize) < nb),
+                "node {} hangs under node {} of its own kind",
+                x,
+                p
+            );
+            degree[x] += 1;
+            degree[p as usize] += 1;
+        }
+        let (mut y, mut steps) = (x, 0);
+        while t.parent[y] != NONE {
+            y = t.parent[y] as usize;
+            steps += 1;
+            prop_assert!(steps < nodes, "parent pointers from node {} cycle", x);
+        }
+    }
+    let counts = bcc_membership_counts(r);
+    for (i, &c) in t.cuts.iter().enumerate() {
+        prop_assert_eq!(degree[nb + i], counts[c as usize] as usize, "cut {}", c);
+    }
+    Ok(())
 }
 
 /// The `O(n)` representation's own invariants on a result of `g`.
