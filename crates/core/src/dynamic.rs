@@ -30,9 +30,11 @@
 //!   two head chains are walked up to their first common block and every
 //!   block strictly between merges (the classic block-cut-path contraction),
 //!   implemented with a label DSU so a batch of insertions is near-linear.
-//!   An edge joining two trees either hangs a tree root under the other
-//!   endpoint, or re-solves one endpoint's whole component with the same
-//!   in-place region DFS and hangs it there.
+//!   Only when both chains end at tree roots without meeting does the edge
+//!   join two trees, so the link is decided after the walk: an endpoint
+//!   that is itself a tree root hangs under the other endpoint in `O(1)`;
+//!   otherwise one endpoint's whole component is re-solved with the same
+//!   in-place region DFS and hung there.
 //! * **Re-hang** — only the classes the batch touched are walked: the
 //!   class of every certificate-passed tree deletion's child and every
 //!   class a merge retired or kept. A retired class first folds its
@@ -137,32 +139,22 @@ pub struct DynState {
     // child; the batch-end re-hang walks exactly these.
     dsu: Vec<u32>,
     touched: Vec<u32>,
-    // Era-stamped scratch shared by the BFS passes.
+    // Era-stamped scratch. Every walk stamps `mark` with a fresh era
+    // from `next_era`, the one counter: the certificate's BFS1 visits and
+    // then its path P1 (two consecutive eras), each side of a chain walk
+    // (indexed by label), a region, the re-hung classes. The residual BFS
+    // stamps `state_mark` with P1's era.
     era: u32,
-    mark: Vec<u32>,       // n: region members / re-hung classes
-    queue: Vec<V>,        // vertex queue (certificate BFS, re-hang walks)
-    bfs_mark: Vec<u32>,   // n: certificate BFS1
-    bfs_parent: Vec<V>,   // n
+    mark: Vec<u32>,       // n
+    queue: Vec<V>,        // certificate BFS1, region members, re-hang walks
+    bfs_parent: Vec<V>,   // n: BFS1 discoverer, so a P1 vertex's predecessor
     state_mark: Vec<u32>, // 2n: residual-BFS states
     state_queue: Vec<u32>,
-    p1_era: Vec<u32>, // n: membership of the first path
-    p1_next: Vec<V>,
-    p1_prev: Vec<V>,
-    cert_era: u32,
     // Remaining aggregate incremental work (certificate visits, region
     // vertices/arcs) for the current batch; exhaustion => FB_BUDGET.
     work_budget: usize,
-    // Chain-walk scratch (label -> side/pos/entry, era-stamped).
-    chain_era: u32,
-    seen_era: Vec<u32>,
-    seen_side: Vec<u8>,
-    seen_pos: Vec<u32>,
-    seen_entry: Vec<V>,
-    chain_a: Vec<(u32, V)>,
-    chain_b: Vec<(u32, V)>,
-    // Region re-solve members (the region DFS runs on the engine's
-    // workspace scratch).
-    members: Vec<V>,
+    // The two head chains of one insertion, as (label, entry vertex).
+    chains: [Vec<(u32, V)>; 2],
 }
 
 /// [`ApplyReport::fallback`] reason: the batch exceeded 5% of the edge
@@ -208,41 +200,34 @@ impl DynState {
         self.touched.clear();
         self.touched.reserve(n);
         self.era = 0;
-        self.cert_era = 0;
-        self.chain_era = 0;
         self.mark.clear();
         self.mark.resize(n, 0);
-        self.bfs_mark.clear();
-        self.bfs_mark.resize(n, 0);
         self.bfs_parent.clear();
         self.bfs_parent.resize(n, NONE);
         self.state_mark.clear();
         self.state_mark.resize(2 * n, 0);
-        self.p1_era.clear();
-        self.p1_era.resize(n, 0);
-        self.p1_next.clear();
-        self.p1_next.resize(n, NONE);
-        self.p1_prev.clear();
-        self.p1_prev.resize(n, NONE);
-        self.seen_era.clear();
-        self.seen_era.resize(n, 0);
-        self.seen_side.clear();
-        self.seen_side.resize(n, 0);
-        self.seen_pos.clear();
-        self.seen_pos.resize(n, 0);
-        self.seen_entry.clear();
-        self.seen_entry.resize(n, NONE);
         self.queue.clear();
         self.queue.reserve(n);
         self.state_queue.clear();
         self.state_queue.reserve(2 * n);
-        self.members.clear();
-        self.members.reserve(SUB_CAP.min(n) + 1);
-        self.chain_a.clear();
-        self.chain_a.reserve(CHAIN_CAP + 1);
-        self.chain_b.clear();
-        self.chain_b.reserve(CHAIN_CAP + 1);
+        for c in &mut self.chains {
+            c.clear();
+            c.reserve(CHAIN_CAP + 1);
+        }
         self.report = None;
+    }
+
+    /// A fresh era for `mark` and `state_mark`. Stamps start at 0, so
+    /// before the counter would wrap back to 0 both arrays are cleared
+    /// and the count restarts at 1.
+    fn next_era(&mut self) -> u32 {
+        if self.era == u32::MAX {
+            self.mark.fill(0);
+            self.state_mark.fill(0);
+            self.era = 0;
+        }
+        self.era += 1;
+        self.era
     }
 
     fn find(&mut self, mut x: u32) -> u32 {
@@ -263,23 +248,14 @@ impl DynState {
             + vb(self.touched.capacity())
             + vb(self.mark.capacity())
             + vb(self.queue.capacity())
-            + vb(self.bfs_mark.capacity())
             + vb(self.bfs_parent.capacity())
             + vb(self.state_mark.capacity())
             + vb(self.state_queue.capacity())
-            + vb(self.p1_era.capacity())
-            + vb(self.p1_next.capacity())
-            + vb(self.p1_prev.capacity())
-            + vb(self.seen_era.capacity())
-            + self.seen_side.capacity()
-            + vb(self.seen_pos.capacity())
-            + vb(self.seen_entry.capacity())
-            + (self.chain_a.capacity() + self.chain_b.capacity()) * 8
-            + vb(self.members.capacity())
+            + (self.chains[0].capacity() + self.chains[1].capacity()) * 8
     }
 
     /// Collect a region: BFS from `start` over the union of `graphs`'
-    /// adjacency, through the vertices `accept` admits, into `members`,
+    /// adjacency, through the vertices `accept` admits, into `queue`,
     /// marked with a fresh era. Returns the era and the arcs scanned, or
     /// `None` once the region passes [`SUB_CAP`] vertices or
     /// [`SUB_ARC_CAP`] scanned arcs; a failed flood still costs real work,
@@ -290,16 +266,15 @@ impl DynState {
         start: V,
         accept: impl Fn(V) -> bool,
     ) -> Option<(u32, usize)> {
-        self.era = self.era.wrapping_add(1);
-        let era = self.era;
-        self.members.clear();
-        self.members.push(start);
+        let era = self.next_era();
+        self.queue.clear();
+        self.queue.push(start);
         self.mark[start as usize] = era;
         let mut qi = 0;
         let mut arcs_scanned = 0usize;
         let fits = 'flood: {
-            while qi < self.members.len() {
-                let x = self.members[qi];
+            while qi < self.queue.len() {
+                let x = self.queue[qi];
                 qi += 1;
                 arcs_scanned += graphs.iter().map(|g| g.degree(x)).sum::<usize>();
                 if arcs_scanned > SUB_ARC_CAP {
@@ -308,11 +283,11 @@ impl DynState {
                 for g in graphs {
                     for &w in g.neighbors(x) {
                         if self.mark[w as usize] != era && accept(w) {
-                            if self.members.len() >= SUB_CAP {
+                            if self.queue.len() >= SUB_CAP {
                                 break 'flood false;
                             }
                             self.mark[w as usize] = era;
-                            self.members.push(w);
+                            self.queue.push(w);
                         }
                     }
                 }
@@ -324,7 +299,7 @@ impl DynState {
         }
         self.work_budget = self
             .work_budget
-            .saturating_sub(self.members.len() + arcs_scanned);
+            .saturating_sub(self.queue.len() + arcs_scanned);
         None
     }
 
@@ -369,15 +344,14 @@ impl DynState {
         if cap == 0 {
             return None;
         }
-        self.cert_era = self.cert_era.wrapping_add(1);
-        let era = self.cert_era;
+        let era = self.next_era();
 
         // BFS1: any u → v path (the flow's first unit). The target test
         // runs at push time so the search stops without expanding the
         // whole final frontier.
         self.queue.clear();
         self.queue.push(u);
-        self.bfs_mark[u as usize] = era;
+        self.mark[u as usize] = era;
         let mut qi = 0;
         let mut found = u == v;
         'bfs1: while qi < self.queue.len() {
@@ -387,8 +361,8 @@ impl DynState {
                 return None;
             }
             for &w in g.neighbors(x) {
-                if self.bfs_mark[w as usize] != era {
-                    self.bfs_mark[w as usize] = era;
+                if self.mark[w as usize] != era {
+                    self.mark[w as usize] = era;
                     self.bfs_parent[w as usize] = x;
                     if w == v {
                         found = true;
@@ -402,18 +376,18 @@ impl DynState {
             return Some(false);
         }
 
-        // Record P1 (successor/predecessor along the path, era-stamped).
+        // Stamp P1 with the next era; `bfs_parent` of a P1 vertex other
+        // than `u` is its predecessor on P1, so `w → x` is a P1 arc iff
+        // `x != u` is on P1 with `bfs_parent[x] == w`.
+        let era = self.next_era();
         let mut cur = v;
+        self.mark[v as usize] = era;
         while cur != u {
-            let pr = self.bfs_parent[cur as usize];
-            self.p1_era[cur as usize] = era;
-            self.p1_era[pr as usize] = era;
-            self.p1_next[pr as usize] = cur;
-            self.p1_prev[cur as usize] = pr;
-            cur = pr;
+            cur = self.bfs_parent[cur as usize];
+            self.mark[cur as usize] = era;
         }
-        let on_p1 = |s: &Self, w: V| s.p1_era[w as usize] == era;
-        let p1_arc = |s: &Self, w: V, x: V| on_p1(s, w) && w != v && s.p1_next[w as usize] == x;
+        let on_p1 = |s: &Self, w: V| s.mark[w as usize] == era;
+        let p1_arc = |s: &Self, w: V, x: V| x != u && on_p1(s, x) && s.bfs_parent[x as usize] == w;
 
         // Augmenting BFS over the vertex-split residual graph. States are
         // `2w` (w_in) / `2w + 1` (w_out); internal P1 vertices have their
@@ -429,7 +403,8 @@ impl DynState {
             let s = self.state_queue[qi];
             qi += 1;
             let w = s / 2;
-            let internal = on_p1(self, w) && w != u && w != v;
+            let w_on_p1 = on_p1(self, w);
+            let internal = w_on_p1 && w != u && w != v;
             if s & 1 == 1 {
                 // w_out: forward edge arcs not used by P1, plus the
                 // residual of the vertex arc when saturated.
@@ -438,7 +413,7 @@ impl DynState {
                     self.state_queue.push(2 * w);
                 }
                 for &x in g.neighbors(w) {
-                    if p1_arc(self, w, x) {
+                    if w_on_p1 && p1_arc(self, w, x) {
                         continue;
                     }
                     if x == v {
@@ -453,8 +428,7 @@ impl DynState {
                 // w_in: the vertex arc when unsaturated, or the residual of
                 // the saturated P1 edge arc entering w.
                 if internal {
-                    let pr = self.p1_prev[w as usize];
-                    let t = 2 * pr + 1;
+                    let t = 2 * self.bfs_parent[w as usize] + 1;
                     if self.state_mark[t as usize] != era {
                         self.state_mark[t as usize] = era;
                         self.state_queue.push(t);
@@ -663,57 +637,39 @@ impl BccEngine {
                 report.adds_noop += 1;
                 continue;
             }
-            // Forest link: an endpoint that is itself a tree root hangs
-            // directly under the other endpoint in O(1) — the new edge is
-            // then a bridge between two trees (the common shape for
-            // insertions touching isolated vertices). A head-chain root
-            // walk from the other endpoint guards the same-tree case (an
-            // edge up to the own root closes a cycle and must go through
-            // the block-path merge below instead).
-            let (pu, pv) = (
-                self.result.tags.parent[u as usize],
-                self.result.tags.parent[v as usize],
-            );
-            if pu == NONE || pv == NONE {
-                let (root_end, anchor) = if pv == NONE { (v, u) } else { (u, v) };
-                let cross_tree = if self.result.tags.parent[anchor as usize] == NONE {
-                    // Both endpoints are roots; a tree has one root, so
-                    // two distinct roots are two distinct trees.
-                    true
-                } else {
-                    matches!(self.root_of(anchor), Some(r) if r != root_end)
-                };
-                if cross_tree {
-                    let res = &mut self.result;
-                    debug_assert_eq!(
-                        if root_end == v { lv } else { lu },
-                        root_end,
-                        "a tree root keeps its singleton class"
-                    );
-                    res.tags.parent[root_end as usize] = anchor;
-                    res.head[root_end as usize] = anchor;
-                    res.num_bcc += 1;
-                    res.num_cc -= 1;
-                    report.adds_linked += 1;
-                    continue;
-                }
-            }
             match self.merge_path(u, lu, v, lv) {
                 Ok(()) => report.adds_merged += 1,
-                Err(reason) => {
-                    // A confirmed cross-tree insertion can still be absorbed
-                    // by re-solving one endpoint's whole component locally
-                    // and hanging it under the other, gated only by the
-                    // region caps.
-                    if reason == FB_CROSS
-                        && (self.try_region_reroot(&new, u, v)
-                            || self.try_region_reroot(&new, v, u))
-                    {
-                        report.adds_rerooted += 1;
+                Err(FB_CROSS) => {
+                    // The chains ended in two trees. An endpoint that is
+                    // itself a tree root hangs directly under the other
+                    // endpoint in O(1): the new edge is a bridge between
+                    // them (the common shape for insertions touching
+                    // isolated vertices).
+                    let res = &mut self.result;
+                    let (pu, pv) = (res.tags.parent[u as usize], res.tags.parent[v as usize]);
+                    if pu == NONE || pv == NONE {
+                        let (root_end, anchor) = if pv == NONE { (v, u) } else { (u, v) };
+                        debug_assert_eq!(
+                            if root_end == v { lv } else { lu },
+                            root_end,
+                            "a tree root keeps its singleton class"
+                        );
+                        res.tags.parent[root_end as usize] = anchor;
+                        res.head[root_end as usize] = anchor;
+                        res.num_bcc += 1;
+                        res.num_cc -= 1;
+                        report.adds_linked += 1;
                         continue;
                     }
-                    return self.fallback(old, new, report, reason);
+                    // Otherwise one endpoint's whole component is
+                    // re-solved locally and hung under the other, gated
+                    // only by the region caps.
+                    if !(self.try_region_reroot(&new, u, v) || self.try_region_reroot(&new, v, u)) {
+                        return self.fallback(old, new, report, FB_CROSS);
+                    }
+                    report.adds_rerooted += 1;
                 }
+                Err(reason) => return self.fallback(old, new, report, reason),
             }
         }
 
@@ -779,8 +735,7 @@ impl BccEngine {
                 res.head[t as usize] = NONE;
             }
         }
-        dy.era = dy.era.wrapping_add(1);
-        let era = dy.era;
+        let era = dy.next_era();
         let mut reached = Some(0);
         for i in 0..dy.touched.len() {
             let r = dy.find(dy.touched[i]);
@@ -839,24 +794,6 @@ impl BccEngine {
         dy.queue.len() - 1
     }
 
-    /// The root vertex of `x`'s tree, found by climbing the block head
-    /// chain (class → head vertex → its class → …; each step jumps a
-    /// whole block, so the walk length is the tree's *block* depth, not
-    /// its vertex depth). `None` when the walk exceeds [`CHAIN_CAP`].
-    /// Relies on the rep-id invariant: the terminal class (`head == NONE`)
-    /// is a root's singleton class, whose class id *is* the root vertex.
-    fn root_of(&mut self, x: V) -> Option<V> {
-        let mut l = self.dynamic.find(self.result.labels[x as usize]);
-        for _ in 0..=CHAIN_CAP {
-            let h = self.result.head[l as usize];
-            if h == NONE {
-                return Some(l);
-            }
-            l = self.dynamic.find(self.result.labels[h as usize]);
-        }
-        None
-    }
-
     /// Absorb a cross-tree insertion by re-solving `root_end`'s *entire*
     /// component locally, rooted at `root_end`, then hanging it under
     /// `anchor` as a fresh bridge, bounded by the component size.
@@ -899,9 +836,7 @@ impl BccEngine {
             .iter()
             .any(|&w| w != root_end && dy.mark[w as usize] == era)
         {
-            dy.work_budget = dy
-                .work_budget
-                .saturating_sub(dy.members.len() + arcs_scanned);
+            dy.work_budget = dy.work_budget.saturating_sub(dy.queue.len() + arcs_scanned);
             return false;
         }
 
@@ -926,17 +861,20 @@ impl BccEngine {
     fn merge_path(&mut self, u: V, lu: u32, v: V, lv: u32) -> Result<(), &'static str> {
         let dy = &mut self.dynamic;
         let res = &self.result;
-        dy.chain_era = dy.chain_era.wrapping_add(1);
-        let era = dy.chain_era;
-        dy.chain_a.clear();
-        dy.chain_b.clear();
+        // One era per side. When `next_era` cleared `mark` for the second,
+        // the first predates the clear and is taken again.
+        let mut eras = [dy.next_era(), dy.next_era()];
+        if eras[1] < eras[0] {
+            eras[0] = dy.next_era();
+        }
+        dy.chains[0].clear();
+        dy.chains[1].clear();
 
         // Walk state per side: (current label, entry vertex, done).
         let mut cur = [(lu, u, false), (lv, v, false)];
         let mut side = 0usize;
         let mut steps = 0usize;
-        let collision: (u32, V, usize, usize); // (D, entry_this, pos_other, this_side)
-        loop {
+        let (d, entry_this) = loop {
             if cur[0].2 && cur[1].2 {
                 return Err(FB_CROSS);
             }
@@ -948,24 +886,11 @@ impl BccEngine {
                 return Err(FB_CHAIN);
             }
             let (l, entry, _) = cur[side];
-            if dy.seen_era[l as usize] == era && dy.seen_side[l as usize] as usize != side {
-                collision = (l, entry, dy.seen_pos[l as usize] as usize, side);
-                break;
+            if dy.mark[l as usize] == eras[side ^ 1] {
+                break (l, entry);
             }
-            let pos = if side == 0 {
-                dy.chain_a.len()
-            } else {
-                dy.chain_b.len()
-            };
-            dy.seen_era[l as usize] = era;
-            dy.seen_side[l as usize] = side as u8;
-            dy.seen_pos[l as usize] = pos as u32;
-            dy.seen_entry[l as usize] = entry;
-            if side == 0 {
-                dy.chain_a.push((l, entry));
-            } else {
-                dy.chain_b.push((l, entry));
-            }
+            dy.mark[l as usize] = eras[side];
+            dy.chains[side].push((l, entry));
             let h = res.head[l as usize];
             if h == NONE {
                 cur[side].2 = true;
@@ -978,16 +903,15 @@ impl BccEngine {
                 cur[side] = (nl, h, false);
             }
             side ^= 1;
-        }
-
-        let (d, entry_this, pos_other, this_side) = collision;
-        let entry_other = dy.seen_entry[d as usize];
-        let include_d = entry_this != entry_other;
-        let (chain_this, chain_other) = if this_side == 0 {
-            (&dy.chain_a, &dy.chain_b)
-        } else {
-            (&dy.chain_b, &dy.chain_a)
         };
+
+        // `d` is on the other side's chain, at most `CHAIN_CAP` long.
+        let (chain_this, chain_other) = (&dy.chains[side], &dy.chains[side ^ 1]);
+        let pos_other = chain_other
+            .iter()
+            .rposition(|&(l, _)| l == d)
+            .expect("the collision label is on the other chain");
+        let include_d = entry_this != chain_other[pos_other].1;
         let rep = if include_d {
             d
         } else if let Some(&(l, _)) = chain_this.last() {
@@ -1050,25 +974,24 @@ impl BccEngine {
         true
     }
 
-    /// Solve the subgraph of `new` induced by the collected `members`
-    /// (marked with `era`, `members[0]` as the root) with the engine's DFS,
-    /// in place on the global result, and relabel `members[first..]` from
-    /// its pre-order: their classes, heads, counts and parents come from
-    /// the region search, and their DSU entries reset to identity. With
-    /// `first == 1` the root keeps its global parent and class. Charges the
-    /// region's vertices plus `arcs_scanned` against the batch work budget,
-    /// and moves `num_bcc`/`num_cc` by the blocks and trees the re-solve
-    /// made minus those its members held before: a live class of a member
-    /// (a retired one was counted off when it merged) and a member root.
+    /// Solve the subgraph of `new` induced by the region members that
+    /// [`DynState::flood`] left in `queue` (marked with `era`, `queue[0]`
+    /// as the root) with the engine's DFS, in place on the global result,
+    /// and relabel `queue[first..]` from its pre-order: their classes,
+    /// heads, counts and parents come from the region search, and their
+    /// DSU entries reset to identity. With `first == 1` the root keeps its
+    /// global parent and class. Charges the region's vertices plus
+    /// `arcs_scanned` against the batch work budget, and moves
+    /// `num_bcc`/`num_cc` by the blocks and trees the re-solve made minus
+    /// those its members held before: a live class of a member (a retired
+    /// one was counted off when it merged) and a member root.
     fn solve_region(&mut self, new: &Graph, era: u32, arcs_scanned: usize, first: usize) {
         let dy = &mut self.dynamic;
         let res = &mut self.result;
         let dfs = &mut self.ws.dfs;
-        dy.work_budget = dy
-            .work_budget
-            .saturating_sub(dy.members.len() + arcs_scanned);
+        dy.work_budget = dy.work_budget.saturating_sub(dy.queue.len() + arcs_scanned);
         let (mut blocks_before, mut roots_before) = (0, 0);
-        for &v in &dy.members[first..] {
+        for &v in &dy.queue[first..] {
             let x = v as usize;
             if dy.dsu[x] == v && res.is_bcc_label(v) {
                 blocks_before += 1;
@@ -1080,11 +1003,11 @@ impl BccEngine {
             res.label_count[x] = 0;
             dy.dsu[x] = v;
         }
-        let root_parent = res.tags.parent[dy.members[0] as usize];
+        let root_parent = res.tags.parent[dy.queue[0] as usize];
         let mark = &dy.mark;
         let trees = dfs_region_in(
             new,
-            &dy.members,
+            &dy.queue,
             |w| mark[w as usize] == era,
             &mut res.tags,
             dfs,
@@ -1098,7 +1021,7 @@ impl BccEngine {
             &mut res.label_count,
         );
         if first == 1 {
-            res.tags.parent[dy.members[0] as usize] = root_parent;
+            res.tags.parent[dy.queue[0] as usize] = root_parent;
         }
         res.num_bcc = res.num_bcc + blocks - blocks_before;
         res.num_cc = res.num_cc + (trees - first) - roots_before;
@@ -1347,6 +1270,89 @@ mod tests {
         assert_eq!(rep.rehang_vertices, 6, "one walk over the merged class");
         assert_eq!(e.result.num_bcc, 999);
         assert_matches_fresh(&e, "merged after cuts");
+    }
+
+    #[test]
+    fn era_wrap_clears_the_stamps() {
+        let mut e = BccEngine::new(BccOpts::default());
+        e.attach(&k4_chain());
+        // The chain walk's two eras straddle the wrap, so `next_era`
+        // clears the stamps and restarts at 1: an era of 0 would match
+        // every unstamped entry.
+        e.dynamic.era = u32::MAX - 1;
+        let parent = &e.result.tags.parent;
+        let cuts = [(parent[1501], 1501), (parent[1504], 1504)];
+        e.apply_batch(&[(1501, 1504)], &cuts);
+        let rep = e.last_apply_report().unwrap();
+        assert!(rep.incremental, "fell back: {:?}", rep.fallback);
+        assert_eq!((rep.adds_merged, rep.rehang_vertices), (1, 6));
+        assert_matches_fresh(&e, "across the era wrap");
+    }
+
+    /// The exact certificate against the BCCs of a fresh solve: after
+    /// deleting any edge `(u, v)`, two internally disjoint `u`–`v` paths
+    /// exist iff `u` and `v` still share a block.
+    #[test]
+    fn cert_bfs_decides_same_bcc_after_each_deletion() {
+        for g in [
+            rmat(6, 160, 7),
+            grid2d(6, 5, false),
+            clique_chain(4, 4),
+            disjoint_union(&[&cycle(8), &barbell(3, 2), &path(5), &complete(5)]),
+        ] {
+            let edges: Vec<(V, V)> = g.iter_edges().collect();
+            let mut dy = DynState::default();
+            dy.reset_for(g.n());
+            // Start a few eras short of the wrap, so BFS1 and P1 cross it.
+            dy.era = u32::MAX - 4;
+            for &(u, v) in &edges {
+                let rest: Vec<(V, V)> = edges.iter().copied().filter(|&e| e != (u, v)).collect();
+                let h = fastbcc_graph::builder::from_edges(g.n(), &rest);
+                dy.work_budget = usize::MAX;
+                let want = fast_bcc(&h, BccOpts::default()).same_bcc(u, v);
+                assert_eq!(dy.cert_bfs(&h, u, v), Some(want), "edge ({u}, {v})");
+            }
+        }
+    }
+
+    #[test]
+    fn root_insertion_into_its_own_tree_merges_not_links() {
+        // At budget 1 the DFS roots each path at vertex 0.
+        fastbcc_primitives::with_threads(1, || {
+            let mut e = BccEngine::new(BccOpts::default());
+            e.attach(&path(200));
+            assert_eq!(e.result.tags.parent[0], NONE);
+            e.apply_batch(&[(0, 150)], &[]);
+            let rep = e.last_apply_report().unwrap();
+            assert!(rep.incremental, "fell back: {:?}", rep.fallback);
+            assert_eq!((rep.adds_merged, rep.adds_linked), (1, 0));
+            assert_eq!(e.result.num_bcc, 50);
+            assert_matches_fresh(&e, "cycle closed at the root");
+            // A head chain past `CHAIN_CAP` falls back before any link.
+            e.attach(&path(2000));
+            e.apply_batch(&[(0, 1500)], &[]);
+            let rep = e.last_apply_report().unwrap();
+            assert_eq!(rep.fallback, Some(FB_CHAIN));
+            assert_matches_fresh(&e, "chain past the cap");
+        });
+    }
+
+    #[test]
+    fn attach_sizes_at_most_36_bytes_of_scratch_per_vertex() {
+        let g = k4_chain();
+        let mut e = BccEngine::new(BccOpts::default());
+        e.attach(&g);
+        let dy = &e.dynamic;
+        let scratch = dy.heap_bytes()
+            - dy.graph.as_ref().unwrap().capacity_bytes()
+            - (dy.delta.adds.capacity() + dy.delta.dels.capacity()) * 8
+            - dy.delta_scratch.heap_bytes();
+        let chains = 2 * (CHAIN_CAP + 1) * 8;
+        assert!(
+            scratch <= 36 * g.n() + chains,
+            "{scratch} B for n = {}",
+            g.n()
+        );
     }
 
     #[test]

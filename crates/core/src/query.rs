@@ -30,7 +30,7 @@
 //! not depend on the root, so neither do the answers.
 //!
 //! Space follows the repo's discipline: everything is flat `u32` arrays —
-//! five `O(n)` vertex tables plus `O(t)` tour tables and the linear-space
+//! four `O(n)` vertex tables plus `O(t)` tour tables and the linear-space
 //! blocked RMQ (`t ≤ 4n`), all reported by [`BccIndex::bytes`] and bounded
 //! by [`crate::space::query_index_budget_bytes`]. Batches run on the
 //! parallel runtime through a pooled [`QueryScratch`], so a warm
@@ -138,12 +138,9 @@ pub struct BccIndex {
     /// Vertex count of the BCC with label `l` (head included); 0 when `l`
     /// is not a real BCC.
     block_size: Vec<u32>,
-    /// Rank of `v` in the tree's cut list; `NONE` for non-articulation
-    /// vertices.
-    cut_id: Vec<u32>,
-    /// Block–cut-forest node of `v`: its cut node when `v` is an
-    /// articulation point, else the one block containing it; `NONE` for
-    /// isolated vertices.
+    /// Block–cut-forest node of `v`: its cut node (`≥ num_block_nodes`)
+    /// when `v` is an articulation point, else the one block containing
+    /// it; `NONE` for isolated vertices.
     node_of: Vec<u32>,
     // --- block-cut forest (nodes 0..B are blocks, B.. are cuts) ----------
     /// Number of block nodes (`B`).
@@ -322,7 +319,6 @@ impl BccIndex {
             labels: r.labels.clone(),
             head: r.head.clone(),
             block_size,
-            cut_id: cut_id.clone(),
             node_of,
             num_block_nodes: nb,
             comp,
@@ -369,7 +365,6 @@ impl BccIndex {
         4 * (self.labels.len()
             + self.head.len()
             + self.block_size.len()
-            + self.cut_id.len()
             + self.node_of.len()
             + self.comp.len()
             + self.first.len()
@@ -411,7 +406,8 @@ impl BccIndex {
     /// Is `v` an articulation point? `O(1)`.
     #[inline]
     pub fn is_articulation(&self, v: V) -> bool {
-        self.cut_id[v as usize] != NONE
+        let x = self.node_of[v as usize];
+        x != NONE && x as usize >= self.num_block_nodes
     }
 
     /// Is `{u, v}` a bridge edge? `O(1)`. True iff `u` and `v` share a

@@ -26,7 +26,7 @@ pub fn workspace_budget_bytes(n: usize, m_undirected: usize) -> usize {
 }
 
 /// The budget a [`crate::query::BccIndex`] over an `n`-vertex solve must
-/// fit: five `O(n)` vertex tables, the forest/tour tables (block-cut
+/// fit: four `O(n)` vertex tables, the forest/tour tables (block-cut
 /// forest nodes ≤ 2n, tour length t ≤ 4n), and the blocked arg-RMQ's
 /// `O(t + (t/B) log(t/B))` summary — linear up to the summary's log
 /// factor, with headroom. The `queries` benchmark emits it next to the
