@@ -77,7 +77,6 @@ pub fn bfs_bcc_in(g: &Graph, seed: u64, scratch: &mut BfsScratch) -> BccResult {
         labels,
         head,
         label_count,
-        tags,
         num_bcc,
         num_cc: cc.num_components,
         breakdown: Breakdown {

@@ -97,7 +97,6 @@ pub fn sm14_in(g: &Graph, scratch: &mut BfsScratch) -> Result<BccResult, Sm14Uns
         labels,
         head,
         label_count,
-        tags,
         num_bcc,
         num_cc: 1,
         breakdown: Breakdown {

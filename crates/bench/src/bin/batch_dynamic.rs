@@ -20,7 +20,7 @@
 //! how many rounds stayed incremental vs fell back (with the last
 //! fallback reason), the row's totals of the `ApplyReport` mechanism
 //! counters (`dels_*`, `adds_*`, and `rehang_vertices`, the vertices the
-//! batch-end re-hang walks reached), and the maximum warm
+//! batch-end relabel walks reached), and the maximum warm
 //! `fresh_alloc_bytes` over incremental rounds — which the `bench-smoke`
 //! CI gate requires to be 0 (the incremental path must run entirely out
 //! of pooled memory).
@@ -94,7 +94,7 @@ fn main() {
                 let mut warm_fresh_max = 0usize;
                 let mut equal = true;
                 // Mechanism totals over the row's rounds: which path each
-                // deletion and insertion took, and how far the re-hang
+                // deletion and insertion took, and how far the relabel
                 // walks reached.
                 let mut mech = ApplyReport::default();
 

@@ -89,9 +89,6 @@ pub struct BccResult {
     pub head: Vec<V>,
     /// Number of members per label (histogram over `labels`).
     pub label_count: Vec<u32>,
-    /// The tags — kept because postprocessing (edge→BCC mapping,
-    /// articulation points, bridges) reads `parent`/`first`.
-    pub tags: Tags,
     /// Number of biconnected components.
     pub num_bcc: usize,
     /// Number of connected components.
@@ -137,13 +134,15 @@ impl BccResult {
     }
 
     /// Check the representation against `g`, the graph it describes, and
-    /// name the first violation (test helper). `parent` must be an acyclic
-    /// forest of edges of `g` in which a non-root's parent is its class's
-    /// head or a member of its class and a root is a headless singleton
-    /// class; `label_count` must be the label histogram, a head may sit
-    /// only on a class id, and `num_bcc`/`num_cc` must equal a recount.
-    /// Reads no other tag, since those go stale under
-    /// [`crate::engine::BccEngine::apply_batch`].
+    /// name the first violation (test helper). It reads only what
+    /// [`crate::engine::BccEngine::apply_batch`] maintains:
+    /// - `label_count` is the label histogram, every label is a member of
+    ///   its own class, and a head sits only on a class id;
+    /// - every class plus its head induces a connected subgraph of `g`;
+    /// - the head forest, in which a class points to the class of its
+    ///   head, is acyclic, and every headless class is a singleton, the
+    ///   root of its component;
+    /// - `num_bcc` and `num_cc` equal a recount.
     pub fn verify_representation(&self, g: &Graph) -> Result<(), String> {
         macro_rules! ensure {
             ($ok:expr, $($msg:tt)+) => {
@@ -153,10 +152,14 @@ impl BccResult {
             };
         }
         let n = g.n();
-        let (labels, head, parent) = (&self.labels, &self.head, &self.tags.parent);
+        let (labels, head) = (&self.labels, &self.head);
         let mut hist = vec![0u32; n];
         for (v, &l) in labels.iter().enumerate() {
             ensure!((l as usize) < n, "label {l} of {v} out of range");
+            ensure!(
+                labels[l as usize] == l,
+                "label {l} of {v} is not a member of {l}"
+            );
             hist[l as usize] += 1;
         }
         ensure!(hist == self.label_count, "label_count is not the histogram");
@@ -166,41 +169,68 @@ impl BccResult {
                 "head on {l}, not a class id"
             );
         }
-        for (v, &p) in parent.iter().enumerate() {
-            let l = labels[v];
-            if p == NONE {
-                ensure!(
-                    l == v as u32 && head[v] == NONE && hist[v] == 1,
-                    "root {v} is not a headless singleton class"
-                );
-            } else {
-                ensure!(g.has_edge(v as V, p), "parent edge ({p}, {v}) not in graph");
-                ensure!(
-                    p == head[l as usize] || labels[p as usize] == l,
-                    "parent {p} of {v} neither in class {l} nor its head"
-                );
+        // One union–find over the edges inside a class and the edges from a
+        // class to its head. Node `n + l` stands for class `l`'s head, so a
+        // vertex heading several classes joins none of them to another.
+        let mut uf: Vec<usize> = (0..2 * n).collect();
+        let find = |uf: &mut Vec<usize>, mut x: usize| {
+            while uf[x] != x {
+                uf[x] = uf[uf[x]];
+                x = uf[x];
+            }
+            x
+        };
+        for (a, b) in g.iter_edges() {
+            let (a, b) = (a as usize, b as usize);
+            let (la, lb) = (labels[a] as usize, labels[b] as usize);
+            for (joined, x, y) in [
+                (la == lb, a, b),
+                (head[la] == b as V, a, n + la),
+                (head[lb] == a as V, b, n + lb),
+            ] {
+                if joined {
+                    let (rx, ry) = (find(&mut uf, x), find(&mut uf, y));
+                    uf[rx] = ry;
+                }
             }
         }
-        // Climb from every vertex to a root or to a vertex already known to
-        // reach one; meeting the current climb again is a cycle.
-        let (mut state, mut climb) = (vec![0u8; n], Vec::new());
         for v in 0..n {
-            let mut x = v;
+            let l = labels[v] as usize;
+            ensure!(
+                find(&mut uf, v) == find(&mut uf, l),
+                "{v} is not connected to the rest of class {l}"
+            );
+            ensure!(
+                head[l] == NONE || find(&mut uf, n + l) == find(&mut uf, l),
+                "class {l} does not reach its head {}",
+                head[l]
+            );
+        }
+        // Climb the head forest from every class to a headless one or to a
+        // class already known to reach one; meeting the current climb again
+        // is a cycle.
+        let (mut state, mut climb) = (vec![0u8; n], Vec::new());
+        let mut roots = 0;
+        for l in (0..n).filter(|&l| labels[l] == l as u32) {
+            if head[l] == NONE {
+                ensure!(hist[l] == 1, "headless class {l} is not a singleton root");
+                roots += 1;
+            }
+            let mut x = l;
             while state[x] != 2 {
-                ensure!(state[x] == 0, "parent cycle through {x}");
+                ensure!(state[x] == 0, "head cycle through class {x}");
                 state[x] = 1;
                 climb.push(x);
-                if parent[x] == NONE {
+                if head[x] == NONE {
                     break;
                 }
-                x = parent[x] as usize;
+                x = labels[head[x] as usize] as usize;
             }
             for y in climb.drain(..) {
                 state[y] = 2;
             }
         }
         let blocks = (0..n as u32).filter(|&l| self.is_bcc_label(l)).count();
-        let roots = parent.iter().filter(|&&p| p == NONE).count();
         ensure!(
             (self.num_bcc, self.num_cc) == (blocks, roots),
             "census (num_bcc, num_cc) = {:?}, recount {:?}",
@@ -364,7 +394,7 @@ mod tests {
         let g = windmill(4);
         let r = fast_bcc(&g, BccOpts::default());
         let root = (0..g.n() as V)
-            .find(|&v| r.tags.parent[v as usize] == NONE)
+            .find(|&v| r.labels[v as usize] == v && r.head[v as usize] == NONE)
             .unwrap();
         let mut heads: Vec<V> = (0..g.n())
             .filter_map(|l| (r.head[l] != NONE).then_some(r.head[l]))

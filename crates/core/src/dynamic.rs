@@ -6,25 +6,29 @@
 //! representation). When consecutive graph
 //! versions differ by a small edge batch, almost all of that work re-derives
 //! what is already known. `apply_batch` instead maintains the engine's
-//! `O(n)` BCC representation (`labels` / `head` / `label_count` plus the
-//! spanning-tree `parent` orientation) directly under the batch:
+//! `O(n)` BCC representation — `labels`, `head` and `label_count`, and
+//! nothing else — directly under the batch. Read without any spanning
+//! tree, that representation is the rooted block–cut forest: a class is a
+//! block minus its head, a class hangs under the class of its head, and
+//! each component's root is a headless singleton class.
 //!
 //! * **Graph delta** — the CSR is updated in one pooled
 //!   [`fastbcc_graph::delta::apply_delta`] pass; the superseded CSR is kept
 //!   for the duration of the batch (deleted-but-unprocessed edges are still
 //!   structurally present mid-batch) and then recycled.
-//! * **Deletions** — a bridge deletion is `O(1)` (the child class becomes a
-//!   new root). A deletion inside a larger block first tries a *two
-//!   vertex-disjoint paths* certificate (Menger, `k = 2`, decided exactly by
-//!   one augmenting BFS over the vertex-split residual graph): if the block
+//! * **Deletions** — a deletion is a bridge iff one endpoint `c` is a
+//!   singleton class headed by the other; it is cut in `O(1)` (`c`'s class
+//!   loses its head and becomes a root). Otherwise the block is read off
+//!   `labels`/`head` (the endpoints share a class, or one heads the
+//!   other's), and a deletion inside it first tries a *two vertex-disjoint
+//!   paths* certificate (Menger, `k = 2`, decided exactly by one
+//!   augmenting BFS over the vertex-split residual graph): if the block
 //!   minus the edge still carries two internally disjoint paths between the
-//!   endpoints it remains biconnected and **no label changes at all** — for
-//!   a tree edge only the stale `parent` pointer is left, and the child's
-//!   class is marked for the batch-end re-hang. If the certificate fails
-//!   (the block splits) the block's members are collected by a bounded
-//!   BFS and re-solved in place: the engine's own DFS, restricted to the
-//!   members ([`crate::dfs::dfs_region_in`]), rooted at the block head,
-//!   which keeps its global parent and class, then the DFS label sweep
+//!   endpoints it remains biconnected and **nothing changes at all**. If
+//!   the certificate fails (the block splits) the block's members are
+//!   collected by a bounded BFS and re-solved in place: the engine's own
+//!   DFS, restricted to the members ([`crate::dfs::dfs_region_in`]), rooted
+//!   at the block head, which keeps its class, then the DFS label sweep
 //!   over the region's pre-order.
 //! * **Insertions** — an edge inside one block is a no-op. Otherwise the
 //!   two head chains are walked up to their first common block and every
@@ -35,37 +39,26 @@
 //!   that is itself a tree root hangs under the other endpoint in `O(1)`;
 //!   otherwise one endpoint's whole component is re-solved with the same
 //!   in-place region DFS and hung there.
-//! * **Re-hang** — only the classes the batch touched are walked: the
-//!   class of every certificate-passed tree deletion's child and every
-//!   class a merge retired or kept. A retired class first folds its
-//!   `label_count` into its representative's and loses its head (so
-//!   downstream full-array scans like `BccIndex::new` never see ghost
-//!   blocks). Then one BFS per live representative `R` starts at
-//!   `head[R]` and enters only vertices whose DSU-resolved label is `R`;
-//!   each vertex it reaches takes its discoverer as `parent` and `R` as
-//!   its label. Labels derive from *any* spanning tree, and every parent
-//!   edge the walk picks lies inside the block it walks (a block minus its
-//!   head stays connected), so `labels`/`head` stay exactly valid and the
-//!   merged labels are compressed on the way. Untouched classes keep their
-//!   parents, whose edges the batch did not delete.
+//! * **Relabel** — a merge keeps the class with the most members as the
+//!   representative and retires the others. At batch end each retired
+//!   class is walked from its class id, entering over the union of the old
+//!   and new adjacency only the vertices that still carry its label, and
+//!   relabelled to its representative, which takes its count; a relabelled
+//!   vertex is never entered again. A block minus its head stays connected,
+//!   and the old adjacency keeps every edge this batch deleted, so the walk
+//!   reaches every member. A merge thus costs its smaller sides, and a
+//!   batch that merges nothing walks nothing.
 //! * **Census** — `num_bcc` and `num_cc` are kept by before/after tallies
 //!   over what each mechanism changes (a bridge cut, a link, a merge, a
 //!   region re-solve, a re-root), so no pass over all `n` vertices runs.
 //!
 //! Anything outside the fast paths — a batch above 5% of the edge count,
 //! a cross-component insertion no region re-root absorbs, a cap or budget
-//! overrun, or a re-hang walk that misses a member of its class — falls
+//! overrun, or a relabel walk that misses a member of its class — falls
 //! back to a full warm `solve` on the already updated graph, so
 //! `apply_batch` is *always* exact; the fallback reason is reported in
 //! [`ApplyReport`] for operator visibility. The caps are the private
 //! constants below; there are no tuning knobs.
-//!
-//! **Tag staleness contract**: after an incremental batch the result's
-//! `tags.parent` is maintained, but `first`/`last`/`low`/`high` are stale.
-//! Every shipped consumer (`bcc_of_edge`, `same_bcc`, `canonical_bccs`,
-//! `bcc_membership_counts`, `articulation_points`, `bridges`,
-//! `largest_bcc_size`, `block_cut_tree`, `BccIndex::build`/`new`) reads
-//! only `labels`/`head`/`label_count`/`parent`.
 
 use crate::algo::BccResult;
 use crate::dfs::{dfs_region_in, label_sweep};
@@ -117,8 +110,8 @@ pub struct ApplyReport {
     /// Cross-tree insertions absorbed by a region re-root: one endpoint's
     /// whole component re-solved locally and hung under the other.
     pub adds_rerooted: usize,
-    /// Vertices the batch-end re-hang walks reached: the members of every
-    /// class the batch touched (0 when it touched none).
+    /// Vertices the batch-end walks relabelled: the members of every class
+    /// a merge retired (0 when the batch merged nothing).
     pub rehang_vertices: usize,
 }
 
@@ -133,20 +126,19 @@ pub struct DynState {
     delta: GraphDelta,
     delta_scratch: DeltaScratch,
     report: Option<ApplyReport>,
-    // Label DSU (identity outside a batch). `touched` lists the classes
-    // the batch touched: every merged DSU entry (it also undoes the
-    // unions) and the class of every certificate-passed tree deletion's
-    // child; the batch-end re-hang walks exactly these.
+    // Label DSU (identity outside a batch). `retired` lists the classes
+    // merges retired into a representative; the batch-end walks relabel
+    // exactly these, and resetting their entries undoes the unions.
     dsu: Vec<u32>,
-    touched: Vec<u32>,
-    // Era-stamped scratch. Every walk stamps `mark` with a fresh era
-    // from `next_era`, the one counter: the certificate's BFS1 visits and
-    // then its path P1 (two consecutive eras), each side of a chain walk
-    // (indexed by label), a region, the re-hung classes. The residual BFS
-    // stamps `state_mark` with P1's era.
+    retired: Vec<u32>,
+    // Era-stamped scratch. Every walk but the relabel stamps `mark` with a
+    // fresh era from `next_era`, the one counter: the certificate's BFS1
+    // visits and then its path P1 (two consecutive eras), each side of a
+    // chain walk (indexed by label), a region. The residual BFS stamps
+    // `state_mark` with P1's era.
     era: u32,
     mark: Vec<u32>,       // n
-    queue: Vec<V>,        // certificate BFS1, region members, re-hang walks
+    queue: Vec<V>,        // certificate BFS1, region members, relabel walks
     bfs_parent: Vec<V>,   // n: BFS1 discoverer, so a P1 vertex's predecessor
     state_mark: Vec<u32>, // 2n: residual-BFS states
     state_queue: Vec<u32>,
@@ -169,8 +161,8 @@ pub const FB_CHAIN: &str = "chain_cap";
 /// [`ApplyReport::fallback`] reason: an affected region exceeded 4096
 /// vertices or 65536 scanned arcs (or had no anchor).
 pub const FB_REGION: &str = "region_cap";
-/// [`ApplyReport::fallback`] reason: a re-hung class's walk did not reach
-/// every member of the class.
+/// [`ApplyReport::fallback`] reason: a retired class's relabel walk did
+/// not reach every member of the class.
 pub const FB_REHANG: &str = "rehang_incomplete";
 /// [`ApplyReport::fallback`] reason: the batch's aggregate incremental
 /// work (certificates, region re-solves, region re-roots) exhausted the
@@ -197,8 +189,8 @@ impl DynState {
     fn reset_for(&mut self, n: usize) {
         self.dsu.clear();
         self.dsu.extend(0..n as u32);
-        self.touched.clear();
-        self.touched.reserve(n);
+        self.retired.clear();
+        self.retired.reserve(n);
         self.era = 0;
         self.mark.clear();
         self.mark.resize(n, 0);
@@ -245,7 +237,7 @@ impl DynState {
             + (self.delta.adds.capacity() + self.delta.dels.capacity()) * 8
             + self.delta_scratch.heap_bytes()
             + vb(self.dsu.capacity())
-            + vb(self.touched.capacity())
+            + vb(self.retired.capacity())
             + vb(self.mark.capacity())
             + vb(self.queue.capacity())
             + vb(self.bfs_parent.capacity())
@@ -451,8 +443,13 @@ impl BccEngine {
     /// `fresh_alloc_bytes == 0`.
     pub fn attach(&mut self, g: &Graph) -> &BccResult {
         let n = g.n();
-        // The re-hang walk flags a reached vertex in its label's top bit.
-        assert!(n <= 1 << 31, "apply_batch maintains at most 2^31 vertices");
+        // The certificate's residual BFS numbers vertex `w`'s states
+        // `2w` and `2w + 1` in a `u32`.
+        assert!(
+            n <= 1 << 31,
+            "apply_batch maintains at most 2^31 vertices: the certificate's \
+             residual states 2w + 1 are u32"
+        );
         self.dynamic.reset_for(n);
         // Re-attaching reuses the previous graph's CSR buffers (a serving
         // rebuilder attaches on every full rebuild; warm re-attaches of a
@@ -572,50 +569,36 @@ impl BccEngine {
             }
             let (u, v) = self.dynamic.delta.dels[i];
             let res = &mut self.result;
-            let (pu, pv) = (res.tags.parent[u as usize], res.tags.parent[v as usize]);
-            let tree_child = if pv == u {
-                Some(v)
-            } else if pu == v {
-                Some(u)
-            } else {
-                None
+            let (lu, lv) = (res.labels[u as usize], res.labels[v as usize]);
+            let singleton_under = |c: V, p: V| {
+                let c = c as usize;
+                res.labels[c] == c as u32 && res.label_count[c] == 1 && res.head[c] == p
             };
-            let region = if let Some(c) = tree_child {
-                let p = if c == u { v } else { u };
-                if res.labels[c as usize] == c
-                    && res.head[c as usize] == p
-                    && res.label_count[c as usize] == 1
-                {
-                    // Bridge: the child class becomes a root; no other
-                    // label moves. One block fewer, one tree more.
-                    res.head[c as usize] = NONE;
-                    res.tags.parent[c as usize] = NONE;
-                    res.num_bcc -= 1;
-                    res.num_cc += 1;
-                    report.dels_bridge += 1;
-                    continue;
-                }
-                res.labels[c as usize]
+            let bridge_end = [(u, v), (v, u)]
+                .into_iter()
+                .find(|&(c, p)| singleton_under(c, p));
+            if let Some((c, _)) = bridge_end {
+                // Bridge: the singleton class becomes a root; no label
+                // moves. One block fewer, one tree more.
+                res.head[c as usize] = NONE;
+                res.num_bcc -= 1;
+                res.num_cc += 1;
+                report.dels_bridge += 1;
+                continue;
+            }
+            let region = if lu == lv || res.head[lu as usize] == v {
+                lu
+            } else if res.head[lv as usize] == u {
+                lv
             } else {
-                let (lu, lv) = (res.labels[u as usize], res.labels[v as usize]);
-                if lu == lv || res.head[lu as usize] == v {
-                    lu
-                } else if res.head[lv as usize] == u {
-                    lv
-                } else {
-                    // An earlier region re-solve already separated the
-                    // endpoints; this deletion is structurally done.
-                    report.dels_skipped += 1;
-                    continue;
-                }
+                // An earlier region re-solve already separated the
+                // endpoints; this deletion is structurally done.
+                report.dels_skipped += 1;
+                continue;
             };
             if self.dynamic.cert_two_disjoint(&new, u, v) == Some(true) {
-                // The block stays biconnected; for a tree edge only
-                // `parent[c]` went stale, and the re-hang walks its class.
+                // The block stays biconnected: nothing changes.
                 report.dels_cert_pass += 1;
-                if tree_child.is_some() {
-                    self.dynamic.touched.push(region);
-                }
                 continue;
             }
             if !self.sub_solve(&old, &new, region) {
@@ -646,15 +629,10 @@ impl BccEngine {
                     // them (the common shape for insertions touching
                     // isolated vertices).
                     let res = &mut self.result;
-                    let (pu, pv) = (res.tags.parent[u as usize], res.tags.parent[v as usize]);
-                    if pu == NONE || pv == NONE {
-                        let (root_end, anchor) = if pv == NONE { (v, u) } else { (u, v) };
-                        debug_assert_eq!(
-                            if root_end == v { lv } else { lu },
-                            root_end,
-                            "a tree root keeps its singleton class"
-                        );
-                        res.tags.parent[root_end as usize] = anchor;
+                    let is_root =
+                        |x: V| res.labels[x as usize] == x && res.head[x as usize] == NONE;
+                    let link = [(v, u), (u, v)].into_iter().find(|&(x, _)| is_root(x));
+                    if let Some((root_end, anchor)) = link {
                         res.head[root_end as usize] = anchor;
                         res.num_bcc += 1;
                         res.num_cc -= 1;
@@ -673,8 +651,8 @@ impl BccEngine {
             }
         }
 
-        // ---- Re-hang the touched classes ------------------------------
-        match self.rehang_touched(&new) {
+        // ---- Relabel the retired classes ------------------------------
+        match self.relabel_retired(&[&old, &new]) {
             Some(reached) => report.rehang_vertices = reached,
             None => return self.fallback(old, new, report, FB_REHANG),
         }
@@ -702,11 +680,10 @@ impl BccEngine {
     ) -> &BccResult {
         {
             let dy = &mut self.dynamic;
-            for i in 0..dy.touched.len() {
-                let t = dy.touched[i];
+            for &t in &dy.retired {
                 dy.dsu[t as usize] = t;
             }
-            dy.touched.clear();
+            dy.retired.clear();
             dy.delta_scratch.recycle(old);
         }
         self.solve(&new);
@@ -717,81 +694,55 @@ impl BccEngine {
         &self.result
     }
 
-    /// Finish a batch over the classes it touched. Each retired class folds
-    /// its count into its representative's and loses its head; then each
-    /// live representative with a head is walked by [`Self::rehang_class`].
-    /// Resets the DSU. Returns the vertices the walks reached, or `None`
-    /// when a walk missed a member of its class.
-    fn rehang_touched(&mut self, new: &Graph) -> Option<usize> {
+    /// Finish a batch's merges: walk each retired class from its class id,
+    /// entering over the union of `graphs`' adjacency only the vertices
+    /// that still carry its label, and relabel them to its representative,
+    /// which takes its count; its head goes. A relabelled vertex carries
+    /// another label, so no walk enters it twice. Resets the DSU. Returns
+    /// the vertices relabelled, or `None` when a walk missed a member of
+    /// its class.
+    fn relabel_retired(&mut self, graphs: &[&Graph]) -> Option<usize> {
         let dy = &mut self.dynamic;
         let res = &mut self.result;
-        let mut merged = false;
-        for i in 0..dy.touched.len() {
-            let t = dy.touched[i];
-            let r = dy.find(t);
-            if r != t {
-                merged = true;
-                res.label_count[r as usize] += std::mem::take(&mut res.label_count[t as usize]);
-                res.head[t as usize] = NONE;
-            }
-        }
-        let era = dy.next_era();
         let mut reached = Some(0);
-        for i in 0..dy.touched.len() {
-            let r = dy.find(dy.touched[i]);
-            if dy.mark[r as usize] == era || res.head[r as usize] == NONE {
+        for i in 0..dy.retired.len() {
+            let t = dy.retired[i];
+            let r = dy.find(t);
+            // A region re-root resets the DSU of what it re-solves, and a
+            // class id retired twice was relabelled the first time.
+            if r == t || res.labels[t as usize] != t {
                 continue;
             }
-            dy.mark[r as usize] = era;
-            let k = Self::rehang_class(dy, new, res, r, merged);
-            if k < res.label_count[r as usize] as usize {
+            dy.queue.clear();
+            dy.queue.push(t);
+            res.labels[t as usize] = r;
+            let mut qi = 0;
+            while qi < dy.queue.len() {
+                let x = dy.queue[qi];
+                qi += 1;
+                for g in graphs {
+                    for &w in g.neighbors(x) {
+                        if res.labels[w as usize] == t {
+                            res.labels[w as usize] = r;
+                            dy.queue.push(w);
+                        }
+                    }
+                }
+            }
+            let k = std::mem::take(&mut res.label_count[t as usize]);
+            if dy.queue.len() < k as usize {
                 reached = None;
                 break;
             }
-            reached = reached.map(|s| s + k);
+            res.label_count[r as usize] += k;
+            res.head[t as usize] = NONE;
+            reached = reached.map(|s| s + dy.queue.len());
         }
-        for &t in &dy.touched {
+        for &t in &dy.retired {
             dy.dsu[t as usize] = t;
         }
-        dy.touched.clear();
+        dy.retired.clear();
         reached
-    }
-
-    /// Re-hang and relabel class `r`: a BFS over `new` from `head[r]` that
-    /// enters only vertices whose label resolves to `r` (through the DSU
-    /// only when the batch `merged` classes), giving each its discoverer as
-    /// `parent` and `r` as its label. Returns the vertices it reached.
-    fn rehang_class(
-        dy: &mut DynState,
-        new: &Graph,
-        res: &mut BccResult,
-        r: u32,
-        merged: bool,
-    ) -> usize {
-        // A vertex this walk reached carries `r | WALKED` until it ends, so
-        // one label read per arc both filters and deduplicates. Labels are
-        // vertex ids, below 2^31 (see `attach`).
-        const WALKED: u32 = 1 << 31;
-        let (labels, parent) = (&mut res.labels, &mut res.tags.parent);
-        dy.queue.clear();
-        dy.queue.push(res.head[r as usize]);
-        let mut qi = 0;
-        while qi < dy.queue.len() {
-            let x = dy.queue[qi];
-            qi += 1;
-            for &w in new.neighbors(x) {
-                let l = labels[w as usize];
-                if l == r || (merged && l & WALKED == 0 && dy.find(l) == r) {
-                    labels[w as usize] = r | WALKED;
-                    parent[w as usize] = x;
-                    dy.queue.push(w);
-                }
-            }
-        }
-        for &w in &dy.queue[1..] {
-            labels[w as usize] = r;
-        }
-        dy.queue.len() - 1
     }
 
     /// Absorb a cross-tree insertion by re-solving `root_end`'s *entire*
@@ -807,11 +758,11 @@ impl BccEngine {
     /// other than `(root_end, anchor)` itself — a second tie means the
     /// flood crossed into the anchor's own component (the new edge would
     /// not even be a bridge), and splicing those vertices would corrupt
-    /// the tree. Splicing overwrites
-    /// `labels`/`parent`/`head` for every member and resets their DSU
+    /// the forest. Splicing overwrites
+    /// `labels`/`head`/`label_count` for every member and resets their DSU
     /// entries (no live label outside the region can resolve to a class id
     /// inside it — classes never span components), so the rescue composes
-    /// with earlier merges, region re-solves, and a pending re-hang.
+    /// with earlier merges, region re-solves, and the pending relabel.
     /// Returns false, with the failed flood charged to the batch work
     /// budget, when the component exceeds [`SUB_CAP`] vertices or
     /// [`SUB_ARC_CAP`] scanned arcs or fails the single-tie check; the
@@ -829,7 +780,7 @@ impl BccEngine {
         // later insertion of this same batch reaching around the anchor)
         // falsifies both: the flood has swallowed vertices of the anchor's
         // own component, and splicing them under the anchor would corrupt
-        // the tree (the anchor's parent chain runs inside the region).
+        // the forest (the anchor's head chain runs inside the region).
         arcs_scanned += new.degree(anchor);
         if new
             .neighbors(anchor)
@@ -847,7 +798,6 @@ impl BccEngine {
         // becomes the new bridge class.
         self.solve_region(new, era, arcs_scanned, 0);
         let res = &mut self.result;
-        res.tags.parent[root_end as usize] = anchor;
         res.head[root_end as usize] = anchor;
         res.num_bcc += 1;
         res.num_cc -= 1;
@@ -912,37 +862,32 @@ impl BccEngine {
             .rposition(|&(l, _)| l == d)
             .expect("the collision label is on the other chain");
         let include_d = entry_this != chain_other[pos_other].1;
-        let rep = if include_d {
-            d
-        } else if let Some(&(l, _)) = chain_this.last() {
-            l
-        } else {
-            chain_other[pos_other - 1].0
-        };
         let new_head = if include_d {
             res.head[d as usize]
         } else {
             entry_this // == entry_other: the shared cut vertex
         };
         debug_assert_ne!(new_head, NONE, "merged block must keep a head");
+        let merged = || {
+            let d = include_d.then_some(d);
+            let this = chain_this.iter().chain(&chain_other[..pos_other]);
+            this.map(|&(l, _)| l).chain(d)
+        };
+        // `label_count` holds each class's own members until the batch-end
+        // relabel folds it; the class with the most keeps its label, so
+        // the walks cover only the smaller sides.
+        let rep = merged()
+            .max_by_key(|&l| res.label_count[l as usize])
+            .expect("a merge joins at least two classes");
 
         // Every merged class is a headed block (a tree root's class never
         // merges), so each one retired is one block fewer.
         let res = &mut self.result;
-        let mut retire = |l: u32| {
-            if l != rep {
-                dy.dsu[l as usize] = rep;
-                dy.touched.push(l);
-                res.num_bcc -= 1;
-            }
-        };
-        for &(l, _) in chain_this.iter().chain(&chain_other[..pos_other]) {
-            retire(l);
+        for l in merged().filter(|&l| l != rep) {
+            dy.dsu[l as usize] = rep;
+            dy.retired.push(l);
+            res.num_bcc -= 1;
         }
-        if include_d {
-            retire(d);
-        }
-        dy.touched.push(rep);
         res.head[rep as usize] = new_head;
         Ok(())
     }
@@ -966,7 +911,7 @@ impl BccEngine {
         };
 
         // The old class dies with its members' relabelling; the anchor
-        // (the region root) keeps its global label, parent, and class —
+        // (the region root) keeps its global label and class —
         // exactly why the sub-solve is anchored there. Two blocks share at
         // most one vertex, so every new-graph edge between members is a
         // block edge.
@@ -978,17 +923,17 @@ impl BccEngine {
     /// [`DynState::flood`] left in `queue` (marked with `era`, `queue[0]`
     /// as the root) with the engine's DFS, in place on the global result,
     /// and relabel `queue[first..]` from its pre-order: their classes,
-    /// heads, counts and parents come from the region search, and their
-    /// DSU entries reset to identity. With `first == 1` the root keeps its
-    /// global parent and class. Charges the region's vertices plus
-    /// `arcs_scanned` against the batch work budget, and moves
-    /// `num_bcc`/`num_cc` by the blocks and trees the re-solve made minus
-    /// those its members held before: a live class of a member (a retired
-    /// one was counted off when it merged) and a member root.
+    /// heads and counts come from the region search, and their DSU entries
+    /// reset to identity. With `first == 1` the root keeps its class.
+    /// Charges the region's vertices plus `arcs_scanned` against the batch
+    /// work budget, and moves `num_bcc`/`num_cc` by the blocks and trees
+    /// the re-solve made minus those its members held before: a live class
+    /// of a member (a retired one was counted off when it merged) and a
+    /// member root.
     fn solve_region(&mut self, new: &Graph, era: u32, arcs_scanned: usize, first: usize) {
         let dy = &mut self.dynamic;
         let res = &mut self.result;
-        let dfs = &mut self.ws.dfs;
+        let (tags, dfs) = (&mut self.ws.tags, &mut self.ws.dfs);
         dy.work_budget = dy.work_budget.saturating_sub(dy.queue.len() + arcs_scanned);
         let (mut blocks_before, mut roots_before) = (0, 0);
         for &v in &dy.queue[first..] {
@@ -996,33 +941,23 @@ impl BccEngine {
             if dy.dsu[x] == v && res.is_bcc_label(v) {
                 blocks_before += 1;
             }
-            if res.tags.parent[x] == NONE {
+            if res.labels[x] == v && res.head[x] == NONE {
                 roots_before += 1;
             }
             res.head[x] = NONE;
             res.label_count[x] = 0;
             dy.dsu[x] = v;
         }
-        let root_parent = res.tags.parent[dy.queue[0] as usize];
         let mark = &dy.mark;
-        let trees = dfs_region_in(
-            new,
-            &dy.queue,
-            |w| mark[w as usize] == era,
-            &mut res.tags,
-            dfs,
-        );
+        let trees = dfs_region_in(new, &dy.queue, |w| mark[w as usize] == era, tags, dfs);
         // The root comes first in the pre-order.
         let blocks = label_sweep(
             &dfs.order()[first..],
-            &res.tags,
+            tags,
             &mut res.labels,
             &mut res.head,
             &mut res.label_count,
         );
-        if first == 1 {
-            res.tags.parent[dy.queue[0] as usize] = root_parent;
-        }
         res.num_bcc = res.num_bcc + blocks - blocks_before;
         res.num_cc = res.num_cc + (trees - first) - roots_before;
     }
@@ -1056,8 +991,8 @@ mod tests {
             articulation_points(&fresh),
             "cuts {ctx}"
         );
-        // Bridges are reported as (parent, child); the incremental tree
-        // can be oriented differently from a fresh solve's, so compare the
+        // Bridges are reported as (head, member); the incremental forest
+        // can be rooted differently from a fresh solve's, so compare the
         // underlying undirected edges.
         let norm = |mut v: Vec<(V, V)>| {
             for e in v.iter_mut() {
@@ -1149,7 +1084,7 @@ mod tests {
         let mut e = BccEngine::new(BccOpts::default());
         e.attach(&disjoint_union(&[&path(30), &path(30)]));
         assert_eq!(e.result.num_cc, 2);
-        let parent = &e.result.tags.parent;
+        let parent = &e.tags().parent;
         let a = (0..30).find(|&x| parent[x as usize] != NONE).unwrap();
         let b = (30..60)
             .rev()
@@ -1178,7 +1113,7 @@ mod tests {
         e.attach(&disjoint_union(&[&cycle(5), &cycle(5)]));
         assert_eq!(e.result.num_cc, 2);
         // Find a non-root vertex in each component (a root has no parent).
-        let parent = &e.result.tags.parent;
+        let parent = &e.tags().parent;
         let a = (0..5).find(|&x| parent[x as usize] != NONE).unwrap();
         let b = (5..10).find(|&x| parent[x as usize] != NONE).unwrap();
         e.apply_batch(&[(a, b)], &[]);
@@ -1201,7 +1136,7 @@ mod tests {
         let mut e = BccEngine::new(BccOpts::default());
         let k = SUB_CAP + 8;
         e.attach(&disjoint_union(&[&cycle(k), &cycle(k)]));
-        let parent = &e.result.tags.parent;
+        let parent = &e.tags().parent;
         let a = (0..k as V).find(|&x| parent[x as usize] != NONE).unwrap();
         let b = (k as V..2 * k as V)
             .find(|&x| parent[x as usize] != NONE)
@@ -1245,12 +1180,14 @@ mod tests {
         let mut e = BccEngine::new(BccOpts::default());
         e.attach(&k4_chain());
         // Vertex 1501 is inside block 500, so its parent edge is a tree
-        // edge of that block.
-        e.apply_batch(&[], &[(e.result.tags.parent[1501], 1501)]);
+        // edge of that block. The block stays biconnected, so nothing is
+        // walked.
+        let p = e.tags().parent[1501];
+        e.apply_batch(&[], &[(p, 1501)]);
         let rep = e.last_apply_report().unwrap();
         assert!(rep.incremental, "fell back: {:?}", rep.fallback);
         assert_eq!(rep.dels_cert_pass, 1);
-        assert!(rep.rehang_vertices <= 4, "re-hung {}", rep.rehang_vertices);
+        assert_eq!(rep.rehang_vertices, 0);
         assert_eq!(e.result.num_bcc, 1000);
         assert_matches_fresh(&e, "one K4 edge cut");
     }
@@ -1261,13 +1198,15 @@ mod tests {
         e.attach(&k4_chain());
         // Cut a tree edge in blocks 500 and 501, then join their non-cut
         // vertices 1501 and 1504: the two blocks merge through cut 1503.
-        let parent = &e.result.tags.parent;
+        // Each class holds three members, and only the retired one is
+        // walked.
+        let parent = &e.tags().parent;
         let cuts = [(parent[1501], 1501), (parent[1504], 1504)];
         e.apply_batch(&[(1501, 1504)], &cuts);
         let rep = e.last_apply_report().unwrap();
         assert!(rep.incremental, "fell back: {:?}", rep.fallback);
         assert_eq!((rep.dels_cert_pass, rep.adds_merged), (2, 1));
-        assert_eq!(rep.rehang_vertices, 6, "one walk over the merged class");
+        assert_eq!(rep.rehang_vertices, 3, "one walk over the retired class");
         assert_eq!(e.result.num_bcc, 999);
         assert_matches_fresh(&e, "merged after cuts");
     }
@@ -1280,12 +1219,12 @@ mod tests {
         // clears the stamps and restarts at 1: an era of 0 would match
         // every unstamped entry.
         e.dynamic.era = u32::MAX - 1;
-        let parent = &e.result.tags.parent;
+        let parent = &e.tags().parent;
         let cuts = [(parent[1501], 1501), (parent[1504], 1504)];
         e.apply_batch(&[(1501, 1504)], &cuts);
         let rep = e.last_apply_report().unwrap();
         assert!(rep.incremental, "fell back: {:?}", rep.fallback);
-        assert_eq!((rep.adds_merged, rep.rehang_vertices), (1, 6));
+        assert_eq!((rep.adds_merged, rep.rehang_vertices), (1, 3));
         assert_matches_fresh(&e, "across the era wrap");
     }
 
@@ -1321,7 +1260,7 @@ mod tests {
         fastbcc_primitives::with_threads(1, || {
             let mut e = BccEngine::new(BccOpts::default());
             e.attach(&path(200));
-            assert_eq!(e.result.tags.parent[0], NONE);
+            assert_eq!(e.tags().parent[0], NONE);
             e.apply_batch(&[(0, 150)], &[]);
             let rep = e.last_apply_report().unwrap();
             assert!(rep.incremental, "fell back: {:?}", rep.fallback);
@@ -1573,9 +1512,9 @@ mod tests {
                 // Neither endpoint may be a tree root, or the insertion is
                 // an O(1) link instead.
                 let i = round - 6;
-                let parent = &e.result().tags.parent;
+                let r = e.result();
                 let inner = |mut x: V| {
-                    while parent[x as usize] == NONE {
+                    while r.labels[x as usize] == x && r.head[x as usize] == NONE {
                         x += 1;
                     }
                     x

@@ -25,9 +25,11 @@
 //!   `fastbcc_connectivity::CcScratch`), the First-CC labels and the
 //!   spanning-forest edge buffer, the forest CSR arrays, the rooted-forest
 //!   and ETT successor/rank arrays (`fastbcc_ett::EttScratch`), and the
-//!   tagging `w1`/`w2` buffers (`crate::tags::TagScratch`);
+//!   tagging `w1`/`w2` buffers (`crate::tags::TagScratch`), and the five
+//!   tag arrays themselves, which both paths write and only the solve
+//!   reads (see [`BccEngine::tags`]);
 //! * the engine's result slot recycles the output arrays too (labels,
-//!   heads, label counts, and the five tag arrays);
+//!   heads and label counts);
 //! * every solve writes only into those borrowed buffers (the DFS path
 //!   uses the tag arrays, the result slot, and its own stack and
 //!   pre-order). The first solve sizes everything; subsequent solves
@@ -61,7 +63,7 @@
 use crate::algo::{assign_heads_in, BccOpts, BccResult, Breakdown, CcScheme};
 use crate::dfs::{dfs_tags_in, label_sweep, DfsScratch};
 use crate::space::SpaceTracker;
-use crate::tags::{compute_tags_in, TagScratch};
+use crate::tags::{compute_tags_in, TagScratch, Tags};
 use fastbcc_connectivity::cc::{ldd_uf_jtb_filtered_in, uf_async_filtered_in, CcScratch};
 use fastbcc_connectivity::ldd::LddOpts;
 use fastbcc_connectivity::spanning_forest::forest_adjacency_in;
@@ -91,6 +93,9 @@ pub struct Workspace {
     ett: EttScratch,
     /// Tagging `w1`/`w2` vertex- and tour-ordered buffers.
     tag: TagScratch,
+    /// The spanning-forest tags of the most recent solve, or of the most
+    /// recent region repair at the region's members.
+    pub(crate) tags: Tags,
     /// Stack and pre-order of the DFS solve, also used by the
     /// batch-dynamic layer's region repairs.
     pub(crate) dfs: DfsScratch,
@@ -120,13 +125,14 @@ impl Workspace {
             + self.rf.heap_bytes()
             + self.ett.heap_bytes()
             + self.tag.heap_bytes()
+            + self.tags.heap_bytes()
             + self.dfs.heap_bytes()
     }
 }
 
 /// Heap bytes reserved by the recycled result arrays.
 pub(crate) fn result_heap_bytes(r: &BccResult) -> usize {
-    4 * (r.labels.capacity() + r.head.capacity() + r.label_count.capacity()) + r.tags.heap_bytes()
+    4 * (r.labels.capacity() + r.head.capacity() + r.label_count.capacity())
 }
 
 /// A reusable BCC solver: one [`Workspace`] plus a recycled result slot.
@@ -157,7 +163,6 @@ fn empty_result() -> BccResult {
         labels: Vec::new(),
         head: Vec::new(),
         label_count: Vec::new(),
-        tags: Default::default(),
         num_bcc: 0,
         num_cc: 0,
         breakdown: Breakdown::default(),
@@ -186,6 +191,17 @@ impl BccEngine {
     /// The pooled workspace (for space inspection).
     pub fn workspace(&self) -> &Workspace {
         &self.ws
+    }
+
+    /// The spanning-forest tags the most recent full solve computed
+    /// ([`solve`](Self::solve), [`solve_view`](Self::solve_view),
+    /// [`solve_fast_bcc`](Self::solve_fast_bcc), [`attach`](Self::attach)).
+    /// They are solver scratch, not part of the [`BccResult`]:
+    /// [`apply_batch`](Self::apply_batch) maintains only `labels`, `head`
+    /// and `label_count`, and leaves these as they are outside the regions
+    /// it re-solves.
+    pub fn tags(&self) -> &Tags {
+        &self.ws.tags
     }
 
     /// Run the FAST-BCC pipeline and move the result out, consuming the
@@ -270,11 +286,16 @@ impl BccEngine {
             // Clear (don't replace) the tag arrays: replacing would drop
             // their pooled capacity and force the next non-empty solve to
             // reallocate all five.
-            res.tags.parent.clear();
-            res.tags.first.clear();
-            res.tags.last.clear();
-            res.tags.low.clear();
-            res.tags.high.clear();
+            let t = &mut self.ws.tags;
+            for a in [
+                &mut t.parent,
+                &mut t.first,
+                &mut t.last,
+                &mut t.low,
+                &mut t.high,
+            ] {
+                a.clear();
+            }
             (0, 0, Breakdown::default())
         } else {
             match path {
@@ -335,9 +356,9 @@ fn dfs_solve<G: GraphView>(
     res: &mut BccResult,
 ) -> (usize, usize, Breakdown) {
     let t0 = Instant::now();
-    let num_cc = dfs_tags_in(g, &mut res.tags, &mut ws.dfs);
+    let num_cc = dfs_tags_in(g, &mut ws.tags, &mut ws.dfs);
     let rooting = t0.elapsed();
-    ws.space.alloc(res.tags.bytes() + ws.dfs.heap_bytes());
+    ws.space.alloc(ws.tags.bytes() + ws.dfs.heap_bytes());
 
     let t1 = Instant::now();
     res.labels.clear();
@@ -348,7 +369,7 @@ fn dfs_solve<G: GraphView>(
     res.label_count.resize(g.n(), 0);
     let num_bcc = label_sweep(
         ws.dfs.order(),
-        &res.tags,
+        &ws.tags,
         &mut res.labels,
         &mut res.head,
         &mut res.label_count,
@@ -430,14 +451,14 @@ fn fast_bcc_solve<G: GraphView>(
 
     // ---- Step 3: Tagging --------------------------------------------
     let t2 = Instant::now();
-    let table_bytes = compute_tags_in(g, &ws.rf, &mut res.tags, &mut ws.tag);
+    let table_bytes = compute_tags_in(g, &ws.rf, &mut ws.tags, &mut ws.tag);
     let tagging = t2.elapsed();
-    ws.space.alloc(res.tags.bytes() + table_bytes);
+    ws.space.alloc(ws.tags.bytes() + table_bytes);
     ws.space.free(table_bytes); // sparse tables freed inside compute_tags_in
 
     // ---- Step 4: Last-CC on the implicit skeleton -------------------
     let t3 = Instant::now();
-    let tags = &res.tags;
+    let tags = &ws.tags;
     let skeleton_filter = |u: V, v: V| tags.in_skeleton(u, v);
     match opts.scheme {
         CcScheme::LddUfJtb => ldd_uf_jtb_filtered_in(
@@ -457,7 +478,7 @@ fn fast_bcc_solve<G: GraphView>(
     };
     ws.space.alloc(4 * n * 3);
 
-    let num_bcc = assign_heads_in(&res.labels, &res.tags, &mut res.head, &mut res.label_count);
+    let num_bcc = assign_heads_in(&res.labels, &ws.tags, &mut res.head, &mut res.label_count);
     let last_cc = t3.elapsed();
     ws.space.alloc(8 * n);
 
@@ -528,17 +549,20 @@ mod tests {
     fn solves_are_bit_identical_single_threaded() {
         with_threads(1, || {
             let g = grid2d(25, 17, true);
-            let baseline = fast_bcc(&g, BccOpts::default());
+            let mut fresh = BccEngine::new(BccOpts::default());
+            fresh.solve_fast_bcc(&g);
             let mut engine = BccEngine::new(BccOpts::default());
             // Solve a different graph in between to dirty the buffers.
             engine.solve_fast_bcc(&windmill(8));
-            let r = engine.solve_fast_bcc(&g);
+            engine.solve_fast_bcc(&g);
+            let (r, baseline) = (engine.result(), fresh.result());
             assert_eq!(r.labels, baseline.labels);
             assert_eq!(r.head, baseline.head);
             assert_eq!(r.label_count, baseline.label_count);
-            assert_eq!(r.tags.parent, baseline.tags.parent);
-            assert_eq!(r.tags.low, baseline.tags.low);
-            assert_eq!(r.tags.high, baseline.tags.high);
+            let (t, bt) = (engine.tags(), fresh.tags());
+            assert_eq!(t.parent, bt.parent);
+            assert_eq!(t.low, bt.low);
+            assert_eq!(t.high, bt.high);
             assert_eq!(r.num_bcc, baseline.num_bcc);
         });
     }

@@ -68,21 +68,14 @@ pub fn articulation_points(r: &BccResult) -> Vec<V> {
     pack_index(count.len(), |v| count[v] >= 2)
 }
 
-/// Bridges: tree edges whose BCC is a single edge — label classes of size 1
-/// with a head. Returned as `(parent, child)` pairs.
+/// Bridges: the blocks that are a single edge — label classes of size 1
+/// with a head. Returned as `(head, member)` pairs.
 pub fn bridges(r: &BccResult) -> Vec<(V, V)> {
     let n = r.labels.len();
     fastbcc_primitives::pack::pack_map(
         n,
-        |u| {
-            let l = r.labels[u];
-            // u's own class is {u} and has a head == its parent.
-            l == u as u32
-                && r.label_count[l as usize] == 1
-                && r.head[l as usize] != NONE
-                && r.head[l as usize] == r.tags.parent[u]
-        },
-        |u| (r.tags.parent[u], u as V),
+        |u| r.labels[u] == u as u32 && r.label_count[u] == 1 && r.head[u] != NONE,
+        |u| (r.head[u], u as V),
     )
 }
 

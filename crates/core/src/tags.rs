@@ -137,7 +137,7 @@ pub fn compute_tags<G: GraphView>(g: &G, rf: &RootedForest) -> (Tags, usize) {
 }
 
 /// [`compute_tags`] writing into a caller-owned [`Tags`] (the five tag
-/// arrays of the engine's result slot) with intermediates in `scratch`.
+/// arrays of the engine's workspace) with intermediates in `scratch`.
 /// Returns the transient sparse-table bytes for space accounting.
 pub fn compute_tags_in<G: GraphView>(
     g: &G,

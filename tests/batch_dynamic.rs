@@ -16,8 +16,9 @@
 
 use fast_bcc::core::engine::DFS_MAX_BUDGET;
 use fast_bcc::core::postprocess::{articulation_points, bridges};
+use fast_bcc::core::query::random_mixed_batch;
 use fast_bcc::core::{canonical_bccs as canon, BccEngine, Query, QueryScratch};
-use fast_bcc::graph::{builder, Graph, V};
+use fast_bcc::graph::{apply_delta, builder, DeltaScratch, Graph, V};
 use fast_bcc::primitives::with_threads;
 use fast_bcc::BccOpts;
 use proptest::prelude::*;
@@ -65,17 +66,21 @@ fn assert_matches_fresh(engine: &BccEngine, ctx: &str) {
     );
 
     // The index over the maintained result must answer the serving
-    // rebuilder's traffic exactly as a fresh solve's index does: all pairs
-    // of the pair queries, plus every vertex's articulation query.
+    // rebuilder's traffic exactly as a fresh solve's index does: every
+    // vertex's articulation query, plus all pairs of the pair queries on a
+    // small graph and a fixed random batch of them on a larger one.
     let n = g.n() as V;
-    let mut queries = Vec::new();
-    for u in 0..n {
-        queries.push(Query::IsArticulation(u));
-        for v in 0..n {
-            queries.push(Query::SameBcc(u, v));
-            queries.push(Query::IsBridge(u, v));
-            queries.push(Query::CutVerticesOnPath(u, v));
+    let mut queries: Vec<Query> = (0..n).map(Query::IsArticulation).collect();
+    if n <= 64 {
+        for u in 0..n {
+            for v in 0..n {
+                queries.push(Query::SameBcc(u, v));
+                queries.push(Query::IsBridge(u, v));
+                queries.push(Query::CutVerticesOnPath(u, v));
+            }
         }
+    } else {
+        queries.extend(random_mixed_batch(g.n(), 4096, 0x5EED));
     }
     let (ix, fresh_ix) = (engine.build_index(), fresh.build_index());
     assert_eq!(
@@ -235,4 +240,56 @@ fn round_trip() {
     engine.apply_batch(&[(10, 50)], &[]);
     assert_matches_fresh(&engine, "ring closed");
     assert_eq!(engine.result().num_cc, 1);
+}
+
+/// perfbench's three delta streams at its test sizes (`Workload::tiny`,
+/// seed 1): R-MAT scale 10 from 12,000 samples, a road-like random
+/// geometric graph on 3,000 points and the 10-NN graph of 2,000 points,
+/// with 40, 40 and 120 deltas of 32 deletions and 32 insertions each,
+/// drawn as perfbench draws them (`fastbcc_bench::churn::churn_batch`).
+/// Every delta goes through `apply_batch` at budget 1, where perfbench's
+/// rebuilder runs it, and one worker past `DFS_MAX_BUDGET`, and the result
+/// must match a fresh solve after each.
+#[test]
+fn perfbench_delta_streams_match_fresh_solves() {
+    use fast_bcc::graph::generators::geometric::road_like_radius;
+    use fast_bcc::graph::generators::{knn, random_geometric, rmat};
+    use fastbcc_bench::churn::{churn_batch, live_edges, ChurnRng};
+    let seed = 1;
+    for (name, g0, count) in [
+        ("powerlaw", rmat(10, 12_000, seed), 40),
+        (
+            "road",
+            random_geometric(3000, road_like_radius(3000), seed),
+            40,
+        ),
+        ("knn", knn(2000, 10, seed), 120),
+    ] {
+        let mut rng = ChurnRng::new(seed ^ 0xDE17A);
+        let mut live = live_edges(&g0);
+        let frac = 32.0 / live.len() as f64;
+        let (mut scratch, mut cur) = (DeltaScratch::new(), g0.clone());
+        let mut deltas = Vec::with_capacity(count);
+        for _ in 0..count {
+            let d = churn_batch(&cur, &mut live, frac, &mut rng);
+            let next = apply_delta(&cur, &d, &mut scratch);
+            scratch.recycle(std::mem::replace(&mut cur, next));
+            deltas.push(d);
+        }
+        for budget in [1, DFS_MAX_BUDGET + 1] {
+            with_threads(budget, || {
+                let mut engine = BccEngine::new(BccOpts::default());
+                engine.attach(&g0);
+                for (i, d) in deltas.iter().enumerate() {
+                    engine.apply_batch(&d.adds, &d.dels);
+                    let report = engine.last_apply_report().expect("batch ran");
+                    assert_matches_fresh(
+                        &engine,
+                        &format!("{name} delta {i} at budget {budget} ({report:?})"),
+                    );
+                }
+                assert_eq!(engine.graph(), Some(&cur), "{name} at budget {budget}");
+            });
+        }
+    }
 }

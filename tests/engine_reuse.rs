@@ -34,15 +34,21 @@ proptest! {
             let mut engine = BccEngine::new(BccOpts::default());
             for g in [&a, &b] {
                 let fresh = fast_bcc(g, BccOpts::default());
-                let pooled = engine.solve_fast_bcc(g);
+                // The tags are solver scratch: compare them on a second,
+                // fresh engine.
+                let mut fresh_engine = BccEngine::new(BccOpts::default());
+                fresh_engine.solve_fast_bcc(g);
+                engine.solve_fast_bcc(g);
+                let (t, ft) = (engine.tags(), fresh_engine.tags());
+                prop_assert_eq!(&t.parent, &ft.parent);
+                prop_assert_eq!(&t.low, &ft.low);
+                prop_assert_eq!(&t.high, &ft.high);
+                let pooled = engine.result();
                 prop_assert_eq!(pooled.num_bcc, fresh.num_bcc);
                 prop_assert_eq!(pooled.num_cc, fresh.num_cc);
                 prop_assert_eq!(&pooled.labels, &fresh.labels);
                 prop_assert_eq!(&pooled.head, &fresh.head);
                 prop_assert_eq!(&pooled.label_count, &fresh.label_count);
-                prop_assert_eq!(&pooled.tags.parent, &fresh.tags.parent);
-                prop_assert_eq!(&pooled.tags.low, &fresh.tags.low);
-                prop_assert_eq!(&pooled.tags.high, &fresh.tags.high);
 
                 // Cross-check both against the sequential oracle.
                 let want = hopcroft_tarjan(g, true);

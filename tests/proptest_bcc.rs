@@ -219,9 +219,9 @@ fn check_block_cut_tree(r: &BccResult) -> Result<(), TestCaseError> {
 /// The `O(n)` representation's own invariants on a result of `g`.
 fn check_representation(g: &Graph, r: &BccResult) -> Result<(), TestCaseError> {
     let n = g.n();
-    // Labels index real vertices, label_count is their histogram, the
-    // parent forest hangs every class under its head, and the census
-    // recounts (the checks `apply_batch` results must pass too).
+    // Labels index real vertices, label_count is their histogram, every
+    // class reaches its head and the head forest is acyclic, and the
+    // census recounts (the checks `apply_batch` results must pass too).
     r.verify_representation(g).map_err(TestCaseError::fail)?;
     // A head never belongs to the label it heads.
     for l in 0..n {
@@ -235,7 +235,7 @@ fn check_representation(g: &Graph, r: &BccResult) -> Result<(), TestCaseError> {
     for l in 0..n {
         let h = r.head[l];
         if h != NONE && r.is_bcc_label(l as u32) {
-            let is_root = r.tags.parent[h as usize] == NONE;
+            let is_root = r.labels[h as usize] == h && r.head[h as usize] == NONE;
             prop_assert!(
                 aps.contains(&h) || is_root,
                 "head {} neither articulation nor root",
