@@ -11,9 +11,13 @@
 //! engine, and generate a [`fastbcc_bench::churn`] perturbed-graph
 //! schedule (`--rounds` batches, each swapping `frac · m` edges). Every
 //! round applies the batch twice — once through `apply_batch` on the
-//! attached engine, once as a warm full solve of the already-evolved
-//! graph on a second pooled engine — and cross-checks the two results
-//! (`num_cc` / `num_bcc` every round, canonical BCCs on the last).
+//! attached engine, once as `apply_delta` on the full side's own graph
+//! (its own `DeltaScratch` ping-pong) plus a warm full solve of the result
+//! on a second pooled engine — and cross-checks the two results
+//! (`num_cc` / `num_bcc` every round, canonical BCCs on the last). Both
+//! timers therefore include the CSR update, so the speedup compares like
+//! with like; outside the timer, the full side's graph must equal the
+//! schedule's.
 //!
 //! Reported per row: mean per-round seconds for both paths, the speedup,
 //! update throughput in edges/s (batch edges over incremental seconds),
@@ -32,6 +36,7 @@ use fastbcc_bench::measure::{fmt_secs, geomean, write_json_lines, Args, Record};
 use fastbcc_bench::runner::RunOpts;
 use fastbcc_bench::suite::filter_suite;
 use fastbcc_core::{canonical_bccs, ApplyReport, BccEngine, BccOpts};
+use fastbcc_graph::{apply_delta, DeltaScratch};
 use fastbcc_primitives::with_threads;
 use std::time::{Duration, Instant};
 
@@ -84,6 +89,7 @@ fn main() {
                 inc.attach(&g0);
                 let mut full = BccEngine::new(BccOpts::default());
                 full.solve(&g0); // warm the baseline's pools
+                let (mut full_graph, mut full_scratch) = (g0.clone(), DeltaScratch::new());
 
                 let mut inc_total = Duration::ZERO;
                 let mut full_total = Duration::ZERO;
@@ -123,8 +129,15 @@ fn main() {
                     }
 
                     let t = Instant::now();
-                    full.solve(g_round);
+                    let next = apply_delta(&full_graph, delta, &mut full_scratch);
+                    full.solve(&next);
                     full_total += t.elapsed();
+                    assert!(
+                        next == *g_round,
+                        "{}: full side's graph diverged",
+                        spec.name
+                    );
+                    full_scratch.recycle(std::mem::replace(&mut full_graph, next));
 
                     equal &= inc_cc == full.result().num_cc && inc_bcc == full.result().num_bcc;
                     // Warm-fresh accounting: the first two rounds settle

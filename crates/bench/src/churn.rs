@@ -89,8 +89,8 @@ pub fn churn_batch(g: &Graph, live: &mut Vec<(V, V)>, frac: f64, rng: &mut Churn
 /// A perturbed-graph schedule: `steps` graphs, each one churn batch
 /// (`frac` of the edges swapped) away from the previous, paired with the
 /// batch that produced it. The `serve` bench rebuilds through the graphs;
-/// `batch_dynamic` feeds the deltas to `apply_batch` and uses the graphs
-/// as its full-solve baseline inputs.
+/// `batch_dynamic` feeds the deltas to both of its sides and checks the
+/// full side's evolved graph against these.
 pub fn perturbed_sequence(
     g0: &Graph,
     steps: usize,

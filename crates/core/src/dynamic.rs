@@ -13,9 +13,11 @@
 //! each component's root is a headless singleton class.
 //!
 //! * **Graph delta** — the CSR is updated in one pooled
-//!   [`fastbcc_graph::delta::apply_delta`] pass; the superseded CSR is kept
-//!   for the duration of the batch (deleted-but-unprocessed edges are still
-//!   structurally present mid-batch) and then recycled.
+//!   [`fastbcc_graph::delta::apply_delta`] pass that merges only the
+//!   neighbour lists the batch touches and copies every untouched run of
+//!   the old CSR as bytes; the superseded CSR is kept for the duration of
+//!   the batch (deleted-but-unprocessed edges are still structurally
+//!   present mid-batch) and then recycled.
 //! * **Deletions** — a deletion is a bridge iff one endpoint `c` is a
 //!   singleton class headed by the other; it is cut in `O(1)` (`c`'s class
 //!   loses its head and becomes a root). Otherwise the block is read off

@@ -26,13 +26,18 @@ impl Graph {
             edges.len(),
             "offsets must end at m"
         );
+        // Both checks fold without early exit, so they vectorise: they read
+        // all `n + m` entries of every graph a pooled caller rebuilds.
         assert!(
-            offsets.windows(2).all(|w| w[0] <= w[1]),
+            offsets
+                .iter()
+                .zip(&offsets[1..])
+                .fold(true, |ok, (a, b)| ok & (a <= b)),
             "offsets must be monotone"
         );
         let n = offsets.len() - 1;
         assert!(
-            edges.iter().all(|&v| (v as usize) < n),
+            edges.is_empty() || (edges.iter().fold(0, |hi, &v| hi.max(v)) as usize) < n,
             "edge endpoint out of range"
         );
         let g = Self { offsets, edges };

@@ -14,7 +14,12 @@
 //! blocked primitives ran on the rayon shim's iterator adapters (three
 //! vectors per terminal), 709 once they run on `par::par_blocks` and
 //! `par::par_blocks_collect` directly.
+//!
+//! A warm `apply_delta` + `DeltaScratch::recycle` cycle makes no heap
+//! allocation at all: the two CSR buffers ping-pong between the scratch
+//! and the live graph.
 
+use fast_bcc::graph::{apply_delta, DeltaScratch, GraphDelta};
 use fast_bcc::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -92,4 +97,42 @@ fn warm_dfs_solve_allocates_nothing() {
             assert_eq!(fresh, 0, "warm DFS solve grew a pooled buffer");
         }
     });
+}
+
+#[test]
+fn warm_apply_delta_cycles_allocate_nothing() {
+    let g0 = generators::rmat(12, 16_000, 5);
+    let last = (g0.n() - 1) as V;
+    // Grow by four edges, two of them on the first and last vertex, then
+    // shrink back: the graph alternates between two sizes.
+    let grown = [(0, last), (1, last), (0, last - 1), (2, 3)]
+        .into_iter()
+        .filter(|&(u, v)| !g0.has_edge(u, v))
+        .collect::<Vec<_>>();
+    assert!(grown.len() >= 3, "the batch must reach vertex 0 and n - 1");
+    let deltas = [
+        GraphDelta::from_slices(&grown, &[]),
+        GraphDelta::from_slices(&[], &grown),
+    ];
+    let mut scratch = DeltaScratch::new();
+    let mut cur = g0.clone();
+    let mut cycle = |cur: &mut Graph, i: usize| {
+        let next = apply_delta(cur, &deltas[i % 2], &mut scratch);
+        scratch.recycle(std::mem::replace(cur, next));
+    };
+    // Two cycles grow both ping-pong buffers to the larger graph's size.
+    for i in 0..4 {
+        cycle(&mut cur, i);
+    }
+    // At budget 1 the parallel sortedness check that debug builds run in
+    // `Graph::from_raw_parts` stays inline, so it allocates nothing either.
+    let made = with_threads(1, || {
+        let before = allocs();
+        for i in 4..12 {
+            cycle(&mut cur, i);
+        }
+        allocs() - before
+    });
+    assert_eq!(made, 0, "warm apply_delta touched the allocator");
+    assert_eq!(cur, g0);
 }
