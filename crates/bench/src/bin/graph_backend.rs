@@ -24,8 +24,12 @@
 //!   pooled workspace, every re-solve on every backend reports
 //!   `fresh_alloc_bytes == 0` (asserted here, not just recorded).
 //! * **Agreement**: all four backends produce identical BCC counts.
+//!
+//! Rows are labelled by the solve `solve_view` ran: `dfs/cold` and
+//! `dfs/warm` up to `DFS_MAX_BUDGET` workers, `fast_bcc/*` above it.
 
 use fastbcc_bench::measure::{time_median, write_json_lines, Args, Record};
+use fastbcc_core::engine::DFS_MAX_BUDGET;
 use fastbcc_core::{BccEngine, BccOpts};
 use fastbcc_graph::generators::rmat;
 use fastbcc_graph::{
@@ -150,6 +154,12 @@ fn main() {
     }
 
     let threads = fastbcc_primitives::num_threads();
+    // `solve_view` runs the DFS up to `DFS_MAX_BUDGET` workers.
+    let solver = if threads <= DFS_MAX_BUDGET {
+        "dfs"
+    } else {
+        "fast_bcc"
+    };
     let records: Vec<Record> = rows
         .iter()
         .flat_map(|r| {
@@ -168,8 +178,8 @@ fn main() {
                     .int("graph_capacity_bytes", r.graph_capacity_bytes)
             };
             [
-                rec("fast_bcc/cold", r.cold_secs, r.cold_fresh),
-                rec("fast_bcc/warm", r.warm_secs, r.warm_fresh),
+                rec(&format!("{solver}/cold"), r.cold_secs, r.cold_fresh),
+                rec(&format!("{solver}/warm"), r.warm_secs, r.warm_fresh),
             ]
         })
         .collect();

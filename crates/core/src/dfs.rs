@@ -9,13 +9,13 @@
 //! pre-order sweep:
 //!
 //! * **Traversal.** An explicit stack of frames, each holding a vertex,
-//!   its running low-point and an arc cursor, so no list is rescanned
-//!   from arc 0 and the call stack never grows with the tree depth. It
-//!   writes the [`Tags`] as [`crate::tags`] defines them over the DFS
-//!   tree: `parent`, pre-order `first`, subtree end `last`, and
-//!   `low`/`high`, the subtree min/max of `w1`/`w2`, folded into the
-//!   parent's frame on retreat. In a DFS tree every neighbor of `T_v` is
-//!   an ancestor or lies in `T_v`, so `high[v] = last[v]`.
+//!   its running low-point and the backend's [`ArcCursor`] into its
+//!   list, so no list is rescanned and the call stack never grows with
+//!   the tree depth. It writes the [`Tags`] as [`crate::tags`] defines
+//!   them over the DFS tree: `parent`, pre-order `first`, subtree end
+//!   `last`, and `low`/`high`, the subtree min/max of `w1`/`w2`, folded
+//!   into the parent's frame on retreat. In a DFS tree every neighbor of
+//!   `T_v` is an ancestor or lies in `T_v`, so `high[v] = last[v]`.
 //! * **Sweep.** In pre-order, a non-root `v` with parent `p` starts a
 //!   block iff `low[v] ≥ first[p]` (the tree edge `p–v` is a fence), and
 //!   then takes `labels[v] = v`, `head[v] = p`; otherwise it joins
@@ -31,24 +31,26 @@
 //! top vertex, and a root's class id is the root itself, which
 //! [`crate::dynamic`] and [`crate::query::BccIndex::new`] rely on.
 //!
-//! Cost: `O(n + m)` work and arc reads on every backend (a resumed scan
-//! re-decodes at most one compressed block), `O(n)` auxiliary space: the
-//! stack and the pre-order, pooled in the engine's
+//! Cost: `O(n + m)` work on every backend, with each arc read or decoded
+//! once: a resume continues from the frame's cursor, reading no offset
+//! table. `O(n)` auxiliary space: the stack (32 bytes a frame on 64-bit
+//! targets) and the pre-order, pooled in the engine's
 //! [`crate::engine::Workspace`].
 
 use crate::tags::Tags;
-use fastbcc_graph::{GraphView, NONE, V};
+use fastbcc_graph::{ArcCursor, GraphView, NONE, V};
 
 /// `first` of a vertex the search has not reached yet.
 const UNSEEN: u32 = u32::MAX;
 
 /// One DFS stack frame: the vertex, the minimum `w1` seen so far over its
-/// subtree, and the local index of the next arc to scan.
+/// subtree, and the backend's cursor at the next arc to scan, so a resume
+/// neither finds the list again nor decodes an arc twice.
 #[derive(Clone, Copy)]
 struct Frame {
     v: V,
     low: u32,
-    cursor: usize,
+    cursor: ArcCursor,
 }
 
 /// Pooled scratch of the DFS solve: the explicit stack and the pre-order.
@@ -106,21 +108,20 @@ fn search<G: GraphView, F: Fn(V) -> bool>(
     stack.push(Frame {
         v: r,
         low: time,
-        cursor: 0,
+        cursor: g.cursor(r),
     });
     time += 1;
     while let Some(top) = stack.last_mut() {
         let v = top.v;
         let pv = parent[v as usize];
-        let (mut lo, mut next, mut cursor) = (top.low, NONE, top.cursor);
-        g.neighbors_from_while(v, top.cursor, |j, w| {
+        let (mut lo, mut next) = (top.low, NONE);
+        g.next_while(v, &mut top.cursor, |w| {
             if !inside(w) {
                 return true;
             }
             let fw = first[w as usize];
             if fw == UNSEEN {
                 next = w;
-                cursor = j + 1;
                 return false;
             }
             // Arcs to the parent (parallel ones included) are tree
@@ -133,14 +134,13 @@ fn search<G: GraphView, F: Fn(V) -> bool>(
         });
         top.low = lo;
         if next != NONE {
-            top.cursor = cursor;
             parent[next as usize] = v;
             first[next as usize] = time;
             order.push(next);
             stack.push(Frame {
                 v: next,
                 low: time,
-                cursor: 0,
+                cursor: g.cursor(next),
             });
             time += 1;
         } else {

@@ -25,6 +25,15 @@
 //! allocation-free, so warm solves over this backend keep the engine's
 //! `fresh_alloc_bytes == 0` guarantee.
 //!
+//! Two decoders read the stream. A range decode
+//! ([`CsrView::neighbors_in`]) jumps through the header to the block
+//! covering its first index. A scan through an [`ArcCursor`]
+//! ([`CsrView::next_while`]) starts past the header and walks the blocks
+//! in order, keeping the absolute byte position, the arcs left, the
+//! arcs left in the current block and the previous neighbor: a scan
+//! that stops and resumes, as the depth-first search does once per tree
+//! child, decodes each arc once and reads no offset table.
+//!
 //! The difference encoder **relies on the sorted-adjacency invariant** of
 //! [`Graph`] (see [`Graph::has_sorted_adjacency`]): gaps after the block
 //! head must be non-negative to be representable.
@@ -33,7 +42,7 @@
 
 use crate::csr::Graph;
 use crate::types::V;
-use fastbcc_primitives::edgemap::CsrView;
+use fastbcc_primitives::edgemap::{ArcCursor, CsrView};
 use fastbcc_primitives::par::par_for_grain;
 use fastbcc_primitives::scan::scan_inclusive_u64;
 use fastbcc_primitives::slice::UnsafeSlice;
@@ -80,11 +89,23 @@ fn varint_len(x: u64) -> usize {
 }
 
 /// Decode one LEB128 varint at `*pos`, advancing it. Panics (bounds
-/// check) past the end of `bytes` — validated streams never do.
+/// check) past the end of `bytes` — validated streams never do. Most gaps
+/// fit one or two bytes, so those cases return before the loop.
 #[inline]
 fn read_varint(bytes: &[u8], pos: &mut usize) -> u64 {
-    let mut x = 0u64;
-    let mut shift = 0u32;
+    let b0 = bytes[*pos];
+    if b0 < 0x80 {
+        *pos += 1;
+        return b0 as u64;
+    }
+    let b1 = bytes[*pos + 1];
+    if b1 < 0x80 {
+        *pos += 2;
+        return (b0 & 0x7f) as u64 | (b1 as u64) << 7;
+    }
+    *pos += 2;
+    let mut x = (b0 & 0x7f) as u64 | ((b1 & 0x7f) as u64) << 7;
+    let mut shift = 14u32;
     loop {
         let b = bytes[*pos];
         *pos += 1;
@@ -235,34 +256,68 @@ pub(crate) fn decode_neighbors_in<F: FnMut(usize, u32)>(
     }
 }
 
-/// Stream neighbors of `v` from local index `lo` on, calling
-/// `f(local_index, neighbor)` until it returns `false`. Like
-/// [`decode_neighbors_in`] it jumps to the block covering `lo`, so a
-/// resumed scan re-decodes at most that one block's prefix.
-pub(crate) fn decode_neighbors_from_while<F: FnMut(usize, u32) -> bool>(
+/// A cursor at the start of a degree-`deg` list whose stream starts at
+/// byte `start` of the payload: past the block header, at a block head.
+#[inline]
+pub(crate) fn start_cursor(deg: usize, start: usize) -> ArcCursor {
+    ArcCursor {
+        pos: start + header_len(deg),
+        left: deg,
+        ..ArcCursor::default()
+    }
+}
+
+/// [`CsrView::next_while`] of the block-coded backends, over the whole
+/// payload `data`. Blocks lie back to back after the header, so the
+/// cursor walks straight across block boundaries: each arc is decoded
+/// once however often the scan stops and resumes.
+#[inline]
+pub(crate) fn decode_next_while<F: FnMut(u32) -> bool>(
     v: u32,
-    deg: usize,
-    bytes: &[u8],
-    lo: usize,
+    data: &[u8],
+    c: &mut ArcCursor,
     mut f: F,
 ) {
-    if lo >= deg {
-        return;
-    }
-    let b0 = lo / BLOCK;
-    let mut pos = block_pos(deg, bytes, b0);
-    let mut prev = 0u32;
-    for idx in b0 * BLOCK..deg {
-        let w = if idx.is_multiple_of(BLOCK) {
-            (v as i64 + unzigzag(read_varint(bytes, &mut pos))) as u32
-        } else {
-            prev + read_varint(bytes, &mut pos) as u32
-        };
-        if idx >= lo && !f(idx, w) {
-            return;
+    let ArcCursor {
+        mut pos,
+        mut left,
+        mut phase,
+        mut prev,
+    } = *c;
+    while left > 0 {
+        if phase == 0 {
+            // Block head: absolute-relative-to-v zigzag varint.
+            prev = (v as i64 + unzigzag(read_varint(data, &mut pos))) as u32;
+            left -= 1;
+            phase = BLOCK as u32 - 1;
+            if !f(prev) {
+                break;
+            }
+            continue;
         }
-        prev = w;
+        // The rest of the block is gaps, counted by one loop index.
+        let run = left.min(phase as usize);
+        let (mut taken, mut stop) = (0, false);
+        while taken < run {
+            prev += read_varint(data, &mut pos) as u32;
+            taken += 1;
+            if !f(prev) {
+                stop = true;
+                break;
+            }
+        }
+        left -= taken;
+        phase -= taken as u32;
+        if stop {
+            break;
+        }
     }
+    *c = ArcCursor {
+        pos,
+        left,
+        phase,
+        prev,
+    };
 }
 
 /// Validate one vertex's untrusted stream: every varint in bounds, the
@@ -461,8 +516,16 @@ impl CsrView for CompressedGraph {
     }
 
     #[inline]
-    fn neighbors_from_while<F: FnMut(usize, u32) -> bool>(&self, v: u32, lo: usize, f: F) {
-        decode_neighbors_from_while(v, CsrView::degree(self, v), self.stream(v as usize), lo, f);
+    fn cursor(&self, v: u32) -> ArcCursor {
+        start_cursor(
+            CsrView::degree(self, v),
+            self.byte_offsets[v as usize] as usize,
+        )
+    }
+
+    #[inline]
+    fn next_while<F: FnMut(u32) -> bool>(&self, v: u32, c: &mut ArcCursor, f: F) {
+        decode_next_while(v, &self.data, c, f);
     }
 }
 
@@ -506,17 +569,9 @@ mod tests {
                 stopped.len() < 3
             });
             assert_eq!(&stopped[..], &nbrs[..d.min(3)]);
-            // Resumed scans start mid-block and past block boundaries.
-            for lo in [0, d / 3, d.saturating_sub(1), d] {
-                let mut resumed = Vec::new();
-                cg.neighbors_from_while(v, lo, |j, w| {
-                    resumed.push((j, w));
-                    resumed.len() < 70
-                });
-                let want: Vec<_> = (lo..d.min(lo + 70)).map(|j| (j, nbrs[j])).collect();
-                assert_eq!(resumed, want, "vertex {v} resumed at {lo}");
-            }
         }
+        check_cursors(g, g);
+        check_cursors(&cg, g);
         // Every stream self-validates.
         for v in 0..g.n() {
             validate_vertex_stream(
@@ -526,6 +581,92 @@ mod tests {
                 g.n(),
             )
             .unwrap();
+        }
+    }
+
+    /// Drive `g`'s cursor over `v`'s list in scans of at most `stride`
+    /// arcs, each resumed where the last one stopped, and return
+    /// `(local index, neighbor)` per arc, the index read off the cursor
+    /// as `degree - left`. Checks that every scan leaves the cursor just
+    /// past the last arc it handed out.
+    fn cursor_walk<G: CsrView>(g: &G, v: V, stride: usize) -> Vec<(usize, V)> {
+        let d = g.degree(v);
+        let mut c = g.cursor(v);
+        let mut got = Vec::with_capacity(d);
+        while c.left > 0 {
+            let j = d - c.left;
+            let mut k = 0;
+            g.next_while(v, &mut c, |w| {
+                got.push((j + k, w));
+                k += 1;
+                k < stride
+            });
+            assert!(k > 0, "vertex {v}: a scan at {j} of {d} handed out nothing");
+            assert_eq!(
+                d - c.left,
+                j + k,
+                "vertex {v}: cursor not past arc {}",
+                j + k - 1
+            );
+        }
+        g.next_while(v, &mut c, |w| {
+            panic!("vertex {v}: {w} handed out past the end")
+        });
+        got
+    }
+
+    /// Every vertex's cursor, resumed after every single arc and after
+    /// scans that stop on each side of a block boundary, yields exactly
+    /// the flat list with its local indices.
+    fn check_cursors<G: CsrView>(g: &G, flat: &Graph) {
+        for v in 0..flat.n() as V {
+            let want: Vec<_> = flat.neighbors(v).iter().copied().enumerate().collect();
+            for stride in [1, 63, 64, 65, usize::MAX] {
+                assert_eq!(
+                    cursor_walk(g, v, stride),
+                    want,
+                    "vertex {v}, scans of {stride}"
+                );
+            }
+        }
+    }
+
+    /// Hubs of degree 1, 63, 64, 65, 128 and 129 (each side of one and of
+    /// two block boundaries) on odd ids, their leaves on even ids spread
+    /// over the whole range, so block heads fall below and above the hub
+    /// and gaps take two varint bytes. Every other odd id has degree 0.
+    fn degree_zoo() -> Graph {
+        const DEGREES: [usize; 6] = [1, 63, 64, 65, 128, 129];
+        let hub = |i: usize| (6000 * i + 3001) as V;
+        let mut edges = Vec::new();
+        for (i, &k) in DEGREES.iter().enumerate() {
+            edges.extend((0..k).map(|j| (hub(i), 2 * (151 * j + 7 * i) as V)));
+        }
+        let g = crate::builder::from_edges(40_000, &edges);
+        for (i, &k) in DEGREES.iter().enumerate() {
+            assert_eq!(g.degree(hub(i)), k);
+        }
+        assert_eq!(g.degree(1), 0);
+        g
+    }
+
+    #[test]
+    fn resumed_cursors_match_flat_lists() {
+        let hub = star(300);
+        assert_eq!(hub.degree(0), 299);
+        for (name, g) in [("zoo", degree_zoo()), ("star", hub)] {
+            let cg = CompressedGraph::from_graph(&g);
+            check_cursors(&cg, &g);
+            let p = std::env::temp_dir()
+                .join(format!("fastbcc_cursor_test_{name}_{}", std::process::id()));
+            crate::mmap::save_snapshot_compressed(&cg, &p).unwrap();
+            let mg = crate::mmap::load_snapshot(&p).unwrap();
+            let crate::mmap::MappedGraph::Compressed(mc) = &mg else {
+                panic!("a compressed snapshot loaded as {}", mg.backend_name());
+            };
+            check_cursors(mc, &g);
+            check_cursors(&mg, &g);
+            std::fs::remove_file(&p).ok();
         }
     }
 

@@ -41,4 +41,4 @@ pub use csr::Graph;
 pub use delta::{apply_delta, DeltaScratch, GraphDelta};
 pub use mmap::{load_snapshot, save_snapshot, save_snapshot_compressed, MappedGraph};
 pub use types::{EdgeList, NONE, V};
-pub use view::{CsrView, GraphView};
+pub use view::{ArcCursor, CsrView, GraphView};

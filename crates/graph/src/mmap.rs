@@ -42,7 +42,7 @@
 use crate::compressed::{validate_vertex_stream, CompressedGraph};
 use crate::csr::Graph;
 use crate::view::GraphView;
-use fastbcc_primitives::edgemap::CsrView;
+use fastbcc_primitives::edgemap::{ArcCursor, CsrView};
 use fastbcc_primitives::reduce::all;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
@@ -255,14 +255,15 @@ impl CsrView for MappedCsr {
     }
 
     #[inline]
-    fn neighbors_from_while<F: FnMut(usize, u32) -> bool>(&self, v: u32, lo: usize, mut f: F) {
+    fn cursor(&self, v: u32) -> ArcCursor {
         let offs = self.offsets();
         let (base, end) = (offs[v as usize] as usize, offs[v as usize + 1] as usize);
-        for (j, &w) in self.arcs()[base + lo..end].iter().enumerate() {
-            if !f(lo + j, w) {
-                break;
-            }
-        }
+        ArcCursor::flat(base, end - base)
+    }
+
+    #[inline]
+    fn next_while<F: FnMut(u32) -> bool>(&self, _v: u32, c: &mut ArcCursor, f: F) {
+        c.next_flat_while(self.arcs(), f);
     }
 }
 
@@ -348,14 +349,14 @@ impl CsrView for MappedCompressed {
     }
 
     #[inline]
-    fn neighbors_from_while<F: FnMut(usize, u32) -> bool>(&self, v: u32, lo: usize, f: F) {
-        crate::compressed::decode_neighbors_from_while(
-            v,
-            CsrView::degree(self, v),
-            self.stream(v as usize),
-            lo,
-            f,
-        );
+    fn cursor(&self, v: u32) -> ArcCursor {
+        let start = self.byte_offsets()[v as usize] as usize;
+        crate::compressed::start_cursor(CsrView::degree(self, v), start)
+    }
+
+    #[inline]
+    fn next_while<F: FnMut(u32) -> bool>(&self, v: u32, c: &mut ArcCursor, f: F) {
+        crate::compressed::decode_next_while(v, self.data(), c, f);
     }
 }
 
@@ -408,8 +409,13 @@ impl CsrView for MappedGraph {
     }
 
     #[inline]
-    fn neighbors_from_while<F: FnMut(usize, u32) -> bool>(&self, v: u32, lo: usize, f: F) {
-        dispatch!(self, g => g.neighbors_from_while(v, lo, f))
+    fn cursor(&self, v: u32) -> ArcCursor {
+        dispatch!(self, g => g.cursor(v))
+    }
+
+    #[inline]
+    fn next_while<F: FnMut(u32) -> bool>(&self, v: u32, c: &mut ArcCursor, f: F) {
+        dispatch!(self, g => g.next_while(v, c, f))
     }
 }
 

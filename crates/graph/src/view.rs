@@ -16,7 +16,8 @@
 //!
 //! `GraphView` extends the low-level [`CsrView`] contract that
 //! `fastbcc-primitives::edgemap` consumes (that crate sits *below* this
-//! one, so the streaming-decode core lives there) with the graph-level
+//! one, so the streaming-decode core and the resumable [`ArcCursor`]
+//! live there) with the graph-level
 //! conveniences the solve layers need: undirected edge counts, arc
 //! ranges, whole-neighbor-list visits, membership tests, and space
 //! reporting. All methods are generic, so each backend monomorphizes its
@@ -31,7 +32,7 @@
 //! see [`Graph::has_sorted_adjacency`](crate::Graph::has_sorted_adjacency).
 
 use crate::types::V;
-pub use fastbcc_primitives::edgemap::CsrView;
+pub use fastbcc_primitives::edgemap::{ArcCursor, CsrView};
 
 /// Backend-generic read-only graph: [`CsrView`] plus the graph-level
 /// surface the solve and query layers use. See the [module docs](self)
@@ -119,12 +120,14 @@ impl CsrView for crate::csr::Graph {
     }
 
     #[inline]
-    fn neighbors_from_while<F: FnMut(usize, u32) -> bool>(&self, v: u32, lo: usize, mut f: F) {
-        for (j, &w) in self.neighbors(v)[lo..].iter().enumerate() {
-            if !f(lo + j, w) {
-                break;
-            }
-        }
+    fn cursor(&self, v: u32) -> ArcCursor {
+        let r = self.arc_range(v);
+        ArcCursor::flat(r.start, r.len())
+    }
+
+    #[inline]
+    fn next_while<F: FnMut(u32) -> bool>(&self, _v: u32, c: &mut ArcCursor, f: F) {
+        c.next_flat_while(self.arcs(), f);
     }
 }
 

@@ -52,13 +52,18 @@ pub const EMPTY: u32 = u32::MAX;
 
 /// A read-only CSR-shaped graph, as the frontier layer sees it: vertex
 /// and arc counts, the cumulative arc offset of every vertex (for
-/// arc-balanced block splitting), and *streamed* neighbor decode.
+/// arc-balanced block splitting), and *streamed* neighbor decode, by
+/// local-index range ([`neighbors_in`](Self::neighbors_in)) or through a
+/// resumable [`ArcCursor`] ([`cursor`](Self::cursor) and
+/// [`next_while`](Self::next_while)).
 ///
 /// This is the low-level contract the compressed and memory-mapped
 /// backends implement; `fastbcc_graph::GraphView` extends it with
 /// graph-level conveniences. Neighbor lists must be visited in ascending
 /// local-index order, and every implementation must agree with
-/// [`arc_start`](Self::arc_start) on degrees. Methods are generic (the
+/// [`arc_start`](Self::arc_start) on degrees. The cursor methods have no
+/// default body, so every backend resumes a scan at its own absolute
+/// position rather than finding the list again. Methods are generic (the
 /// trait is not object-safe) so the hot loops monomorphize per backend.
 pub trait CsrView: Sync {
     /// Number of vertices.
@@ -82,24 +87,73 @@ pub trait CsrView: Sync {
     /// backends decode only the blocks covering the range.
     fn neighbors_in<F: FnMut(usize, u32)>(&self, v: u32, lo: usize, hi: usize, f: F);
 
-    /// Visit neighbors of `v` from local index `lo` on, in ascending
-    /// order, calling `f(local_index, neighbor)` until it returns `false`
-    /// (a resumable early-exit scan: a depth-first search resumes each
-    /// list where it stopped). Block-coded backends decode at most the
-    /// one block containing `lo` before reaching it.
-    fn neighbors_from_while<F: FnMut(usize, u32) -> bool>(&self, v: u32, lo: usize, f: F);
+    /// A cursor at the start of `v`'s neighbor list, for
+    /// [`next_while`](Self::next_while).
+    fn cursor(&self, v: u32) -> ArcCursor;
+
+    /// Hand `v`'s neighbors from `c` on to `f`, in ascending order, until
+    /// `f` returns `false` or the list ends, and leave `c` just past the
+    /// last neighbor handed out (a resumable early-exit scan: a
+    /// depth-first search resumes each list where it stopped). `c` must
+    /// come from [`cursor(v)`](Self::cursor) and be advanced only by this
+    /// method on the same `v`. A resume reads no offset table and decodes
+    /// no arc twice.
+    fn next_while<F: FnMut(u32) -> bool>(&self, v: u32, c: &mut ArcCursor, f: F);
 
     /// Visit all neighbors of `v` in ascending local-index order until
     /// `f` returns `false` (the dense bottom-up early break).
     #[inline]
-    fn neighbors_while<F: FnMut(u32) -> bool>(&self, v: u32, mut f: F) {
-        self.neighbors_from_while(v, 0, |_, w| f(w));
+    fn neighbors_while<F: FnMut(u32) -> bool>(&self, v: u32, f: F) {
+        self.next_while(v, &mut self.cursor(v), f);
     }
 
     /// Visit every neighbor of `v` as `f(neighbor)`.
     #[inline]
     fn for_neighbors<F: FnMut(u32)>(&self, v: u32, mut f: F) {
         self.neighbors_in(v, 0, self.degree(v), |_, w| f(w));
+    }
+}
+
+/// A resumable position in one vertex's neighbor list, where
+/// [`CsrView::next_while`] picks up. Plain data, so a depth-first search
+/// keeps one per stack frame. Positions are absolute, so a resume reads
+/// no offset table:
+///
+/// * flat backends: `pos` is the index of the next arc in the whole arc
+///   array; `phase` and `prev` are unused;
+/// * block-coded backends: `pos` is the byte position of the next varint
+///   in the whole payload, `phase` the arcs left in the current block (0:
+///   the next arc is a block head), and `prev` the last neighbor handed
+///   out, which the next gap is added to.
+///
+/// On every backend `left` counts the arcs not yet handed out, so
+/// `degree(v) - left` is the local index of the next one.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ArcCursor {
+    pub pos: usize,
+    pub left: usize,
+    pub phase: u32,
+    pub prev: u32,
+}
+
+impl ArcCursor {
+    /// A flat cursor at arc index `start` with `deg` arcs to go.
+    #[inline]
+    pub fn flat(start: usize, deg: usize) -> Self {
+        Self {
+            pos: start,
+            left: deg,
+            ..Self::default()
+        }
+    }
+
+    /// [`CsrView::next_while`] of a flat cursor over the whole arc array.
+    #[inline]
+    pub fn next_flat_while<F: FnMut(u32) -> bool>(&mut self, arcs: &[u32], mut f: F) {
+        let run = &arcs[self.pos..self.pos + self.left];
+        let taken = run.iter().position(|&w| !f(w)).map_or(run.len(), |i| i + 1);
+        self.pos += taken;
+        self.left -= taken;
     }
 }
 
@@ -149,13 +203,14 @@ impl CsrView for RawCsr<'_> {
     }
 
     #[inline]
-    fn neighbors_from_while<F: FnMut(usize, u32) -> bool>(&self, v: u32, lo: usize, mut f: F) {
+    fn cursor(&self, v: u32) -> ArcCursor {
         let (base, end) = (self.offsets[v as usize], self.offsets[v as usize + 1]);
-        for (j, &w) in self.arcs[base + lo..end].iter().enumerate() {
-            if !f(lo + j, w) {
-                break;
-            }
-        }
+        ArcCursor::flat(base, end - base)
+    }
+
+    #[inline]
+    fn next_while<F: FnMut(u32) -> bool>(&self, _v: u32, c: &mut ArcCursor, f: F) {
+        c.next_flat_while(self.arcs, f);
     }
 }
 

@@ -44,7 +44,7 @@ pub mod slice;
 pub mod sort;
 pub mod worker_local;
 
-pub use edgemap::{CsrView, EdgeMapMode, EdgeMapScratch, FrontierOp, RawCsr};
+pub use edgemap::{ArcCursor, CsrView, EdgeMapMode, EdgeMapScratch, FrontierOp, RawCsr};
 pub use par::{
     deque_max_depth, max_workers, num_threads, pool_spawns, steal_count, with_threads, worker_index,
 };

@@ -7,8 +7,8 @@
 //! This pins their count for the FAST-BCC pipeline
 //! (`BccEngine::solve_fast_bcc`). At budget 1 every parallel loop runs
 //! inline on the calling thread, so the count is exact and repeats run
-//! over run. The budget-1 DFS `solve` uses only pooled buffers, so its
-//! warm count is 0.
+//! over run. The DFS `solve` (budgets up to `DFS_MAX_BUDGET`) uses only
+//! pooled buffers, so its warm count is 0 on every backend.
 //!
 //! Measured on `rmat(14, 60000, 3)`: 3,925 allocations while the
 //! blocked primitives ran on the rayon shim's iterator adapters (three
@@ -19,7 +19,11 @@
 //! allocation at all: the two CSR buffers ping-pong between the scratch
 //! and the live graph.
 
-use fast_bcc::graph::{apply_delta, DeltaScratch, GraphDelta};
+use fast_bcc::core::engine::DFS_MAX_BUDGET;
+use fast_bcc::graph::{
+    apply_delta, load_snapshot, save_snapshot_compressed, CompressedGraph, DeltaScratch,
+    GraphDelta, GraphView,
+};
 use fast_bcc::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -84,19 +88,50 @@ fn warm_solve_heap_allocations_are_bounded() {
     });
 }
 
+/// Solve cold once through `solve`, then twice warm, asserting the warm
+/// solves neither touch the allocator nor grow a pooled buffer.
+fn assert_warm_solves_allocate_nothing(what: &str, mut solve: impl FnMut(&mut BccEngine) -> usize) {
+    let mut engine = BccEngine::new(BccOpts::default());
+    solve(&mut engine);
+    for _ in 0..2 {
+        let before = allocs();
+        let fresh = solve(&mut engine);
+        assert_eq!(
+            allocs() - before,
+            0,
+            "{what}: warm DFS solve touched the allocator"
+        );
+        assert_eq!(fresh, 0, "{what}: warm DFS solve grew a pooled buffer");
+    }
+}
+
+/// The DFS solve keeps the backend's cursor in every stack frame; on the
+/// flat graph, the compressed graph and a mapped compressed snapshot, at
+/// both DFS budgets, a warm solve allocates nothing.
 #[test]
 fn warm_dfs_solve_allocates_nothing() {
-    with_threads(1, || {
-        let g = generators::rmat(14, 60_000, 3);
-        let mut engine = BccEngine::new(BccOpts::default());
-        engine.solve(&g);
-        for _ in 0..2 {
-            let before = allocs();
-            let fresh = engine.solve(&g).fresh_alloc_bytes;
-            assert_eq!(allocs() - before, 0, "warm DFS solve touched the allocator");
-            assert_eq!(fresh, 0, "warm DFS solve grew a pooled buffer");
-        }
-    });
+    let g = generators::rmat(14, 60_000, 3);
+    let cg = CompressedGraph::from_graph(&g);
+    let path = std::env::temp_dir().join(format!("fastbcc_warm_dfs_{}", std::process::id()));
+    save_snapshot_compressed(&cg, &path).expect("save compressed snapshot");
+    let mg = load_snapshot(&path).expect("load compressed snapshot");
+    assert_eq!(mg.backend_name(), "compressed-mmap");
+    for budget in [1, DFS_MAX_BUDGET] {
+        with_threads(budget, || {
+            assert_warm_solves_allocate_nothing(&format!("flat, budget {budget}"), |e| {
+                e.solve(&g).fresh_alloc_bytes
+            });
+            assert_warm_solves_allocate_nothing(&format!("compressed, budget {budget}"), |e| {
+                e.solve_view(&cg).fresh_alloc_bytes
+            });
+            assert_warm_solves_allocate_nothing(
+                &format!("compressed-mmap, budget {budget}"),
+                |e| e.solve_view(&mg).fresh_alloc_bytes,
+            );
+        });
+    }
+    drop(mg);
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]
