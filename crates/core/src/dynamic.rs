@@ -23,15 +23,24 @@
 //!   loses its head and becomes a root). Otherwise the block is read off
 //!   `labels`/`head` (the endpoints share a class, or one heads the
 //!   other's), and a deletion inside it first tries a *two vertex-disjoint
-//!   paths* certificate (Menger, `k = 2`, decided exactly by one
-//!   augmenting BFS over the vertex-split residual graph): if the block
-//!   minus the edge still carries two internally disjoint paths between the
+//!   paths* certificate (Menger, `k = 2`) inside the block. It is decided
+//!   exactly by two searches, each run from both endpoints at once with
+//!   the cheaper frontier expanded first: a BFS for a first path P1, then
+//!   the augmenting search over P1's vertex-split residual graph, forward
+//!   from one endpoint and backward from the other. If the block minus the
+//!   edge still carries two internally disjoint paths between the
 //!   endpoints it remains biconnected and **nothing changes at all**. If
-//!   the certificate fails (the block splits) the block's members are
-//!   collected by a bounded BFS and re-solved in place: the engine's own
-//!   DFS, restricted to the members ([`crate::dfs::dfs_region_in`]), rooted
-//!   at the block head, which keeps its class, then the DFS label sweep
-//!   over the region's pre-order.
+//!   the certificate fails (the block splits), the side whose search ran
+//!   out first is the split's end block at that endpoint, without the cut
+//!   vertex `c` that closes it. A block of at most 4096 vertices
+//!   (`SUB_CAP`) is then collected by a bounded BFS and re-solved whole,
+//!   in place: the engine's own DFS, restricted to the members
+//!   ([`crate::dfs::dfs_region_in`]), rooted at the block head, which keeps
+//!   its class, then the DFS label sweep over the region's pre-order. A
+//!   larger block is *peeled*: the exhausted side plus `c` is re-solved
+//!   the same way rooted at `c`, the endpoint moves to `c`, and the
+//!   residual search runs again on what is left of P1, until it passes. A
+//!   peel costs its small side, never the giant block it leaves.
 //! * **Insertions** — an edge inside one block is a no-op. Otherwise the
 //!   two head chains are walked up to their first common block and every
 //!   block strictly between merges (the classic block-cut-path contraction),
@@ -72,10 +81,12 @@ use fastbcc_graph::{Graph, NONE, V};
 /// to a full solve (the crossover where re-deriving everything is cheaper
 /// than per-event maintenance).
 const MAX_CHURN_FRAC: f64 = 0.05;
-/// Vertex-visit budget for each disjoint-paths certificate BFS; also the
+/// Vertex-visit budget for each side of a disjoint-paths certificate's
+/// searches (its residual search counts two states a vertex); also the
 /// floor of the per-batch aggregate work budget `max(n + m, CERT_CAP)`.
 const CERT_CAP: usize = 65536;
-/// Maximum region size (vertices) a local re-solve may handle.
+/// Maximum region size (vertices) a local re-solve may handle: a block
+/// re-solved whole, a peeled side, or a re-rooted component.
 const SUB_CAP: usize = 4096;
 /// Arc-scan budget while collecting a region (guards high-degree heads).
 const SUB_ARC_CAP: usize = 65536;
@@ -98,7 +109,8 @@ pub struct ApplyReport {
     pub dels_bridge: usize,
     /// Deletions proven label-preserving by the disjoint-paths certificate.
     pub dels_cert_pass: usize,
-    /// Deletions resolved by an anchored region re-solve.
+    /// Deletions that split their block, resolved by anchored region
+    /// re-solves: the whole block, or one or more peeled end blocks.
     pub dels_sub_solve: usize,
     /// Deletions that were already covered by an earlier region re-solve.
     pub dels_skipped: usize,
@@ -124,6 +136,10 @@ pub struct DynState {
     // Churn gate as a fraction of `m`; `None` is [`MAX_CHURN_FRAC`]. Only
     // this module's tests override it.
     churn_frac: Option<f64>,
+    // A split block of more vertices than this (class plus head) is peeled
+    // rather than re-solved whole; `None` is [`SUB_CAP`]. Only this
+    // module's tests lower it, so that small graphs take the peel.
+    peel_above: Option<usize>,
     graph: Option<Graph>,
     delta: GraphDelta,
     delta_scratch: DeltaScratch,
@@ -133,16 +149,18 @@ pub struct DynState {
     // exactly these, and resetting their entries undoes the unions.
     dsu: Vec<u32>,
     retired: Vec<u32>,
-    // Era-stamped scratch. Every walk but the relabel stamps `mark` with a
-    // fresh era from `next_era`, the one counter: the certificate's BFS1
-    // visits and then its path P1 (two consecutive eras), each side of a
-    // chain walk (indexed by label), a region. The residual BFS stamps
-    // `state_mark` with P1's era.
+    // Era-stamped scratch. Every walk but the relabel stamps `mark` with
+    // fresh eras from `next_eras`, the one counter: each side of the
+    // certificate's first-path BFS and then the path P1 itself (era `p1`),
+    // each side of a chain walk (indexed by label), each side of a flood,
+    // a region. Each side of the residual search stamps `state_mark` with
+    // an era of its own. Two-sided searches share one queue.
     era: u32,
+    p1: u32,
     mark: Vec<u32>,       // n
-    queue: Vec<V>,        // certificate BFS1, region members, relabel walks
-    bfs_parent: Vec<V>,   // n: BFS1 discoverer, so a P1 vertex's predecessor
-    state_mark: Vec<u32>, // 2n: residual-BFS states
+    queue: Vec<V>,        // first-path BFS, floods, region members, relabel walks
+    bfs_parent: Vec<V>,   // n: BFS parent, so a P1 vertex's predecessor
+    state_mark: Vec<u32>, // 2n: residual-search states
     state_queue: Vec<u32>,
     // Remaining aggregate incremental work (certificate visits, region
     // vertices/arcs) for the current batch; exhaustion => FB_BUDGET.
@@ -160,8 +178,12 @@ pub const FB_CROSS: &str = "cross_component";
 /// [`ApplyReport::fallback`] reason: a block-cut chain walk exceeded
 /// 512 blocks.
 pub const FB_CHAIN: &str = "chain_cap";
-/// [`ApplyReport::fallback`] reason: an affected region exceeded 4096
-/// vertices or 65536 scanned arcs (or had no anchor).
+/// [`ApplyReport::fallback`] reason: a block split that no region re-solve
+/// could take. A block of at most 4096 vertices exceeded 65536 scanned arcs
+/// (or had no anchor). For a larger block, both certificate sides hit
+/// their caps, neither end of the split could be peeled (its side exceeded
+/// 4096 vertices or held the block's head or class id), or another
+/// deleted edge joined a peeled side to the rest of the block.
 pub const FB_REGION: &str = "region_cap";
 /// [`ApplyReport::fallback`] reason: a retired class's relabel walk did
 /// not reach every member of the class.
@@ -194,6 +216,7 @@ impl DynState {
         self.retired.clear();
         self.retired.reserve(n);
         self.era = 0;
+        self.p1 = 0;
         self.mark.clear();
         self.mark.resize(n, 0);
         self.bfs_parent.clear();
@@ -211,17 +234,23 @@ impl DynState {
         self.report = None;
     }
 
-    /// A fresh era for `mark` and `state_mark`. Stamps start at 0, so
-    /// before the counter would wrap back to 0 both arrays are cleared
-    /// and the count restarts at 1.
+    /// A fresh era for `mark` and `state_mark`.
     fn next_era(&mut self) -> u32 {
-        if self.era == u32::MAX {
+        self.next_eras::<1>()[0]
+    }
+
+    /// `K` consecutive fresh eras for `mark` and `state_mark`. Stamps start
+    /// at 0, so before the counter would wrap back to 0 both arrays are
+    /// cleared and the count restarts at 1; all `K` eras postdate the
+    /// clear.
+    fn next_eras<const K: usize>(&mut self) -> [u32; K] {
+        if self.era > u32::MAX - K as u32 {
             self.mark.fill(0);
             self.state_mark.fill(0);
             self.era = 0;
         }
-        self.era += 1;
-        self.era
+        self.era += K as u32;
+        std::array::from_fn(|i| self.era - (K - 1 - i) as u32)
     }
 
     fn find(&mut self, mut x: u32) -> u32 {
@@ -248,64 +277,88 @@ impl DynState {
             + (self.chains[0].capacity() + self.chains[1].capacity()) * 8
     }
 
-    /// Collect a region: BFS from `start` over the union of `graphs`'
-    /// adjacency, through the vertices `accept` admits, into `queue`,
-    /// marked with a fresh era. Returns the era and the arcs scanned, or
-    /// `None` once the region passes [`SUB_CAP`] vertices or
-    /// [`SUB_ARC_CAP`] scanned arcs; a failed flood still costs real work,
-    /// so it is charged to the batch work budget.
+    /// Collect a region by breadth-first search over the union of
+    /// `graphs`' adjacency, through the vertices `accept` admits: from
+    /// `starts[0]` alone, or from both `starts` at once, a level at a time,
+    /// the side with the cheaper frontier first (see [`Sides`]), where a
+    /// side never enters the other side's start from its own start (the
+    /// edge that would join them) and reaching anything else the other side
+    /// holds ends both. The first side whose flood closes within
+    /// [`SUB_CAP`] vertices and [`SUB_ARC_CAP`] scanned arcs wins: its
+    /// vertices, its start first, are left in `queue`, marked with the
+    /// returned era, and its side index and scanned arcs come with it.
+    /// Returns `None` when the floods meet or every side passes a cap. Work
+    /// that no region re-solve pays for is charged to the batch work budget
+    /// here.
     fn flood(
         &mut self,
         graphs: &[&Graph],
-        start: V,
+        starts: &[V],
         accept: impl Fn(V) -> bool,
-    ) -> Option<(u32, usize)> {
-        let era = self.next_era();
+    ) -> Option<(usize, u32, usize)> {
+        let eras = self.next_eras::<2>();
+        let degree = |w: V| graphs.iter().map(|g| g.degree(w)).sum::<usize>();
         self.queue.clear();
-        self.queue.push(start);
-        self.mark[start as usize] = era;
-        let mut qi = 0;
-        let mut arcs_scanned = 0usize;
-        let fits = 'flood: {
-            while qi < self.queue.len() {
-                let x = self.queue[qi];
-                qi += 1;
-                arcs_scanned += graphs.iter().map(|g| g.degree(x)).sum::<usize>();
-                if arcs_scanned > SUB_ARC_CAP {
-                    break 'flood false;
-                }
+        let mut cost = [0; 2];
+        for (s, &w) in starts.iter().enumerate() {
+            self.queue.push(w);
+            self.mark[w as usize] = eras[s];
+            cost[s] = degree(w);
+        }
+        let mut sides = Sides::new(cost, [true, starts.len() == 2], SUB_CAP, SUB_ARC_CAP);
+        let won = 'search: loop {
+            let s = match sides.step() {
+                Step::Expand(s) => s,
+                Step::Exhausted(s) => break Some(s),
+                Step::Capped => break None,
+            };
+            let start = self.queue.len();
+            for qi in sides.lo[s]..sides.hi[s] {
+                let a = self.queue[qi];
                 for g in graphs {
-                    for &w in g.neighbors(x) {
-                        if self.mark[w as usize] != era && accept(w) {
-                            if self.queue.len() >= SUB_CAP {
-                                break 'flood false;
+                    for &w in g.neighbors(a) {
+                        let m = self.mark[w as usize];
+                        if m == eras[s ^ 1] {
+                            if a == starts[s] && w == starts[s ^ 1] {
+                                continue;
                             }
-                            self.mark[w as usize] = era;
+                            break 'search None;
+                        }
+                        if m != eras[s] && accept(w) {
+                            self.mark[w as usize] = eras[s];
                             self.queue.push(w);
                         }
                     }
                 }
             }
-            true
+            let cost = self.queue[start..].iter().map(|&w| degree(w)).sum();
+            sides.advance(s, start, self.queue.len(), cost);
         };
-        if fits {
-            return Some((era, arcs_scanned));
+        let wasted = |s: usize| sides.seen[s] + sides.arcs[s];
+        let Some(s) = won else {
+            self.work_budget = self.work_budget.saturating_sub(wasted(0) + wasted(1));
+            return None;
+        };
+        if starts.len() == 2 {
+            self.work_budget = self.work_budget.saturating_sub(wasted(s ^ 1));
+            let mark = &self.mark;
+            self.queue.retain(|&w| mark[w as usize] == eras[s]);
         }
-        self.work_budget = self
-            .work_budget
-            .saturating_sub(self.queue.len() + arcs_scanned);
-        None
+        Some((s, eras[s], sides.arcs[s]))
     }
 
-    /// Exact Menger `k = 2` test: are there two internally vertex-disjoint
-    /// `u`–`v` paths in `g`? `Some(true)` / `Some(false)` are definitive;
-    /// `None` means the visit budget ran out.
-    fn cert_two_disjoint(&mut self, g: &Graph, u: V, v: V) -> Option<bool> {
+    /// Exact Menger `k = 2` test inside one block (the vertices `in_block`
+    /// admits): are there two internally vertex-disjoint `u`–`v` paths in
+    /// `g`? Two common neighbours decide it at once; otherwise
+    /// [`first_path`](Self::first_path) finds the flow's first unit and
+    /// [`residual`](Self::residual) looks for the second.
+    fn cert_two_disjoint(&mut self, g: &Graph, u: V, v: V, in_block: impl Fn(V) -> bool) -> Cert {
         // Fast path: two common neighbors are two internally vertex-disjoint
-        // u→v paths outright (Menger, k = 2, sufficiency). Adjacency is
-        // sorted, so one merge pass over the two lists decides it — this
-        // settles almost every deletion inside a dense block without
-        // touching the BFS machinery below, and is free of budget charge.
+        // u→v paths outright (Menger, k = 2, sufficiency), and a cycle
+        // through u and v lies inside their block. Adjacency is sorted, so
+        // one merge pass over the two lists decides it — this settles
+        // almost every deletion inside a dense block without touching the
+        // searches below, and is free of budget charge.
         {
             let (mut a, mut b) = (g.neighbors(u), g.neighbors(v));
             let mut common = 0usize;
@@ -316,7 +369,7 @@ impl DynState {
                     std::cmp::Ordering::Equal => {
                         common += 1;
                         if common >= 2 {
-                            return Some(true);
+                            return Cert::Pass;
                         }
                         a = &a[1..];
                         b = &b[1..];
@@ -324,116 +377,333 @@ impl DynState {
                 }
             }
         }
-        let r = self.cert_bfs(g, u, v);
-        let spent = self.queue.len() + self.state_queue.len() / 2;
-        self.work_budget = self.work_budget.saturating_sub(spent.max(1));
-        r
+        if !self.first_path(g, u, v, &in_block) {
+            return Cert::Unknown;
+        }
+        self.residual(g, [u, v], [true; 2], &in_block)
     }
 
-    /// The exact (BFS) part of the certificate; charged against the
-    /// per-batch aggregate visit budget by the wrapper above.
-    fn cert_bfs(&mut self, g: &Graph, u: V, v: V) -> Option<bool> {
+    /// P1, the flow's first unit: an `x`–`y` path inside the block, by
+    /// breadth-first search from both ends at once, the cheaper frontier
+    /// first, each side capped at [`CERT_CAP`] (and the batch work budget)
+    /// visits. On success `bfs_parent` leads from `y` back to `x` along it
+    /// and [`stamp_p1`](Self::stamp_p1) has marked it. False when the
+    /// block holds no such path or both sides ran out.
+    fn first_path(&mut self, g: &Graph, x: V, y: V, in_block: impl Fn(V) -> bool) -> bool {
         let cap = CERT_CAP.min(self.work_budget);
-        self.state_queue.clear();
-        if cap == 0 {
-            return None;
-        }
-        let era = self.next_era();
-
-        // BFS1: any u → v path (the flow's first unit). The target test
-        // runs at push time so the search stops without expanding the
-        // whole final frontier.
+        let eras = self.next_eras::<2>();
         self.queue.clear();
-        self.queue.push(u);
-        self.mark[u as usize] = era;
-        let mut qi = 0;
-        let mut found = u == v;
-        'bfs1: while qi < self.queue.len() {
-            let x = self.queue[qi];
-            qi += 1;
-            if self.queue.len() > cap {
-                return None;
-            }
-            for &w in g.neighbors(x) {
-                if self.mark[w as usize] != era {
-                    self.mark[w as usize] = era;
-                    self.bfs_parent[w as usize] = x;
-                    if w == v {
-                        found = true;
-                        break 'bfs1;
+        self.queue.extend([x, y]);
+        self.mark[x as usize] = eras[0];
+        self.mark[y as usize] = eras[1];
+        let mut sides = Sides::new([g.degree(x), g.degree(y)], [true; 2], cap, usize::MAX);
+        // Each side's BFS parents lead back to its own start; the meeting
+        // edge is returned as (side-0 end, side-1 end).
+        let meet = 'search: loop {
+            let Step::Expand(s) = sides.step() else {
+                break None;
+            };
+            let start = self.queue.len();
+            for qi in sides.lo[s]..sides.hi[s] {
+                let a = self.queue[qi];
+                for &w in g.neighbors(a) {
+                    let m = self.mark[w as usize];
+                    if m == eras[s ^ 1] {
+                        break 'search Some(if s == 0 { (a, w) } else { (w, a) });
                     }
-                    self.queue.push(w);
+                    if m != eras[s] && in_block(w) {
+                        self.mark[w as usize] = eras[s];
+                        self.bfs_parent[w as usize] = a;
+                        self.queue.push(w);
+                    }
                 }
             }
+            let cost = self.queue[start..].iter().map(|&w| g.degree(w)).sum();
+            sides.advance(s, start, self.queue.len(), cost);
+        };
+        self.work_budget = self.work_budget.saturating_sub(self.queue.len());
+        let Some((mut prev, mut cur)) = meet else {
+            return false;
+        };
+        // Side 1's parents lead from the meeting point to `y`; turn them
+        // round, so every P1 vertex's parent is its predecessor from `x`.
+        loop {
+            let next = self.bfs_parent[cur as usize];
+            self.bfs_parent[cur as usize] = prev;
+            if cur == y {
+                break;
+            }
+            (prev, cur) = (cur, next);
         }
-        if !found {
-            return Some(false);
-        }
+        self.stamp_p1([x, y]);
+        true
+    }
 
-        // Stamp P1 with the next era; `bfs_parent` of a P1 vertex other
-        // than `u` is its predecessor on P1, so `w → x` is a P1 arc iff
-        // `x != u` is on P1 with `bfs_parent[x] == w`.
-        let era = self.next_era();
-        let mut cur = v;
-        self.mark[v as usize] = era;
-        while cur != u {
+    /// Mark P1, the path `bfs_parent` leads along from `ends[1]` back to
+    /// `ends[0]`, with a fresh era, kept in `p1`.
+    fn stamp_p1(&mut self, [x, y]: [V; 2]) {
+        let p1 = self.next_era();
+        self.p1 = p1;
+        let mut cur = y;
+        self.mark[y as usize] = p1;
+        while cur != x {
             cur = self.bfs_parent[cur as usize];
-            self.mark[cur as usize] = era;
+            self.mark[cur as usize] = p1;
         }
-        let on_p1 = |s: &Self, w: V| s.mark[w as usize] == era;
-        let p1_arc = |s: &Self, w: V, x: V| x != u && on_p1(s, x) && s.bfs_parent[x as usize] == w;
+    }
 
-        // Augmenting BFS over the vertex-split residual graph. States are
-        // `2w` (w_in) / `2w + 1` (w_out); internal P1 vertices have their
-        // in→out arc saturated, P1 edge arcs are traversable only backward.
+    /// The augmenting search for the second unit of flow over the
+    /// vertex-split residual graph of P1 inside the block, where P1 is the
+    /// path marked `p1` that `bfs_parent` leads along from `y` back to `x`.
+    /// Adjacent ends pass outright. Otherwise the ends that `live` names
+    /// search at once, the cheaper frontier first: forward from `x_out`,
+    /// backward from `y_in` over the reversed residual graph, each side
+    /// capped at `2 ·` [`CERT_CAP`] states. A meeting is an augmenting path
+    /// ([`Cert::Pass`]); a side that runs out first proves there is none,
+    /// and its states are the split block's end on that side
+    /// ([`Cert::Split`]).
+    ///
+    /// States are `2w` (w_in) and `2w + 1` (w_out). Internal P1 vertices
+    /// have their in→out arc saturated, and P1's edge arcs are traversable
+    /// only backward.
+    fn residual(
+        &mut self,
+        g: &Graph,
+        [x, y]: [V; 2],
+        live: [bool; 2],
+        in_block: impl Fn(V) -> bool,
+    ) -> Cert {
+        if g.has_edge(x, y) {
+            return Cert::Pass;
+        }
+        let cap = 2 * CERT_CAP.min(self.work_budget);
+        let eras = self.next_eras::<2>();
+        if eras[0] <= self.p1 {
+            // The eras wrapped, and the clear took P1's marks with it.
+            self.stamp_p1([x, y]);
+        }
+        let p1 = self.p1;
+        // `bfs_parent` of a P1 vertex other than `x` is its predecessor, so
+        // `a → z` is a P1 arc iff `z != x` is on P1 with `bfs_parent[z] == a`.
+        let on_p1 = |s: &Self, w: V| s.mark[w as usize] == p1;
+        let internal = |s: &Self, w: V| w != x && w != y && on_p1(s, w);
+        let p1_arc = |s: &Self, a: V, z: V| z != x && on_p1(s, z) && s.bfs_parent[z as usize] == a;
+
         self.state_queue.clear();
-        self.state_queue.push(2 * u + 1);
-        self.state_mark[(2 * u + 1) as usize] = era;
-        let mut qi = 0;
-        while qi < self.state_queue.len() {
-            if self.state_queue.len() > 2 * cap {
-                return None;
+        self.state_queue.extend([2 * x + 1, 2 * y]);
+        self.state_mark[(2 * x + 1) as usize] = eras[0];
+        self.state_mark[(2 * y) as usize] = eras[1];
+        let mut sides = Sides::new([g.degree(x), g.degree(y)], live, cap, usize::MAX);
+        let cert = 'search: loop {
+            let s = match sides.step() {
+                Step::Expand(s) => s,
+                Step::Exhausted(side) => {
+                    break Cert::Split {
+                        side,
+                        era: eras[side],
+                    }
+                }
+                Step::Capped => break Cert::Unknown,
+            };
+            // Stamp state `t` for side `s`; true when the other side holds it.
+            let reach = |dy: &mut Self, t: u32| {
+                let m = dy.state_mark[t as usize];
+                if m != eras[s] && m != eras[s ^ 1] {
+                    dy.state_mark[t as usize] = eras[s];
+                    dy.state_queue.push(t);
+                }
+                m == eras[s ^ 1]
+            };
+            let start = self.state_queue.len();
+            for qi in sides.lo[s]..sides.hi[s] {
+                let t = self.state_queue[qi];
+                let w = t / 2;
+                let met = match (s, t & 1) {
+                    // Forward from w_out: the saturated vertex arc backward,
+                    // and every edge arc P1 does not use.
+                    (0, 1) => {
+                        (internal(self, w) && reach(self, 2 * w))
+                            || g.neighbors(w)
+                                .iter()
+                                .any(|&z| in_block(z) && !p1_arc(self, w, z) && reach(self, 2 * z))
+                    }
+                    // Forward from w_in: the vertex arc when unsaturated,
+                    // else P1's edge arc into w backward.
+                    (0, _) if internal(self, w) => {
+                        let pred = self.bfs_parent[w as usize];
+                        reach(self, 2 * pred + 1)
+                    }
+                    (0, _) => reach(self, 2 * w + 1),
+                    // Backward into w_in: the saturated vertex arc's
+                    // residual, and every edge arc P1 does not use.
+                    (_, 0) => {
+                        (internal(self, w) && reach(self, 2 * w + 1))
+                            || g.neighbors(w).iter().any(|&z| {
+                                in_block(z) && !p1_arc(self, z, w) && reach(self, 2 * z + 1)
+                            })
+                    }
+                    // Backward into w_out: the unsaturated vertex arc, and
+                    // the residual of P1's edge arc out of w.
+                    _ => {
+                        (!internal(self, w) && reach(self, 2 * w))
+                            || (on_p1(self, w) && w != y && {
+                                let next = g.neighbors(w).iter().find(|&&z| p1_arc(self, w, z));
+                                reach(self, 2 * *next.expect("P1 continues past w"))
+                            })
+                    }
+                };
+                if met {
+                    break 'search Cert::Pass;
+                }
             }
-            let s = self.state_queue[qi];
-            qi += 1;
-            let w = s / 2;
-            let w_on_p1 = on_p1(self, w);
-            let internal = w_on_p1 && w != u && w != v;
-            if s & 1 == 1 {
-                // w_out: forward edge arcs not used by P1, plus the
-                // residual of the vertex arc when saturated.
-                if internal && self.state_mark[(2 * w) as usize] != era {
-                    self.state_mark[(2 * w) as usize] = era;
-                    self.state_queue.push(2 * w);
+            let cost = self.state_queue[start..]
+                .iter()
+                .map(|&t| g.degree(t / 2))
+                .sum();
+            sides.advance(s, start, self.state_queue.len(), cost);
+        };
+        let spent = self.state_queue.len() / 2;
+        self.work_budget = self.work_budget.saturating_sub(spent.max(1));
+        cert
+    }
+
+    /// After [`Cert::Split`] for `ends`: the cut vertex `c` that closes the
+    /// exhausted side's end block, and that side's vertices, the component
+    /// of its end once `c` is removed. Leaves `[c, side...]` in `queue` and
+    /// returns false, with `queue` unfinished, once the side passes
+    /// [`SUB_CAP`] vertices or holds a vertex `keep` rejects. Costs no more
+    /// than the search that exhausted the side.
+    fn gather_side(
+        &mut self,
+        g: &Graph,
+        ends: [V; 2],
+        side: usize,
+        era: u32,
+        keep: impl Fn(V) -> bool,
+    ) -> bool {
+        // The exhausted side holds a prefix of P1 from its own end (the
+        // forward side by out-states, the backward side by in-states); `c`
+        // is the first P1 vertex past it.
+        let parity = (side == 0) as u32;
+        let held = |dy: &Self, w: V| dy.state_mark[(2 * w + parity) as usize] == era;
+        let mut c = ends[1];
+        if side == 0 {
+            // The one P1 successor of a held P1 vertex that is not held.
+            let p1_next = |dy: &Self, w: V, z: V| {
+                z != ends[0] && dy.mark[z as usize] == dy.p1 && dy.bfs_parent[z as usize] == w
+            };
+            for &t in &self.state_queue {
+                let w = t / 2;
+                if t & 1 == 1 && held(self, w) && self.mark[w as usize] == self.p1 {
+                    if let Some(&z) = g.neighbors(w).iter().find(|&&z| p1_next(self, w, z)) {
+                        if !held(self, z) {
+                            c = z;
+                            break;
+                        }
+                    }
                 }
-                for &x in g.neighbors(w) {
-                    if w_on_p1 && p1_arc(self, w, x) {
-                        continue;
-                    }
-                    if x == v {
-                        return Some(true);
-                    }
-                    if self.state_mark[(2 * x) as usize] != era {
-                        self.state_mark[(2 * x) as usize] = era;
-                        self.state_queue.push(2 * x);
-                    }
-                }
-            } else {
-                // w_in: the vertex arc when unsaturated, or the residual of
-                // the saturated P1 edge arc entering w.
-                if internal {
-                    let t = 2 * self.bfs_parent[w as usize] + 1;
-                    if self.state_mark[t as usize] != era {
-                        self.state_mark[t as usize] = era;
-                        self.state_queue.push(t);
-                    }
-                } else if self.state_mark[(2 * w + 1) as usize] != era {
-                    self.state_mark[(2 * w + 1) as usize] = era;
-                    self.state_queue.push(2 * w + 1);
-                }
+            }
+        } else {
+            while held(self, c) {
+                c = self.bfs_parent[c as usize];
             }
         }
-        Some(false)
+        self.queue.clear();
+        self.queue.push(c);
+        for i in 0..self.state_queue.len() {
+            let t = self.state_queue[i];
+            if t & 1 == parity && self.state_mark[t as usize] == era {
+                if self.queue.len() > SUB_CAP || !keep(t / 2) {
+                    return false;
+                }
+                self.queue.push(t / 2);
+            }
+        }
+        true
+    }
+}
+
+/// The vertices of block `l` when `h` heads it: its class plus `h`.
+fn block_of(labels: &[u32], l: u32, h: V) -> impl Fn(V) -> bool + Copy + '_ {
+    move |w| labels[w as usize] == l || w == h
+}
+
+/// Outcome of [`DynState::cert_two_disjoint`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Cert {
+    /// Two internally disjoint paths: the endpoints share a block.
+    Pass,
+    /// None: side `side`'s residual search (0 from the first end, 1 from
+    /// the second) ran out first, and its states carry `era`.
+    Split { side: usize, era: u32 },
+    /// Undecided: no path inside the block, or both sides hit their caps.
+    Unknown,
+}
+
+/// The frontiers of two breadth-first searches that share one append-only
+/// queue and expand a level at a time, the side with the cheaper frontier
+/// first, so the search that stops first is the one on the small side.
+/// Side `s`'s frontier is `queue[lo[s]..hi[s]]` and scans about `cost[s]`
+/// arcs; `seen[s]` counts its entries and `arcs[s]` the arcs it scanned. A
+/// side stops, no longer live, past `max_seen` entries, or when its next
+/// level would take its scanned arcs past `max_arcs`.
+struct Sides {
+    lo: [usize; 2],
+    hi: [usize; 2],
+    cost: [usize; 2],
+    seen: [usize; 2],
+    arcs: [usize; 2],
+    live: [bool; 2],
+    max_seen: usize,
+    max_arcs: usize,
+}
+
+/// What [`Sides::step`] asks of its search next.
+enum Step {
+    /// Expand this side's frontier.
+    Expand(usize),
+    /// This side's search is complete: its frontier is empty.
+    Exhausted(usize),
+    /// Every side passed its caps.
+    Capped,
+}
+
+impl Sides {
+    /// Side 0 starts at `queue[0]`, side 1 at `queue[1]`; only the sides
+    /// `live` names search.
+    fn new(cost: [usize; 2], live: [bool; 2], max_seen: usize, max_arcs: usize) -> Self {
+        Sides {
+            lo: [0, 1],
+            hi: [1, 2],
+            cost,
+            seen: [1; 2],
+            arcs: [0; 2],
+            live: [0, 1].map(|s| live[s] && cost[s] <= max_arcs),
+            max_seen,
+            max_arcs,
+        }
+    }
+
+    fn step(&self) -> Step {
+        if let Some(s) = (0..2).find(|&s| self.live[s] && self.lo[s] == self.hi[s]) {
+            return Step::Exhausted(s);
+        }
+        match self.live {
+            [false, false] => Step::Capped,
+            [true, true] => Step::Expand((self.cost[1] < self.cost[0]) as usize),
+            [_, one] => Step::Expand(one as usize),
+        }
+    }
+
+    /// Side `s` expanded its frontier into `queue[start..end]`, a level
+    /// that scans about `cost` arcs.
+    fn advance(&mut self, s: usize, start: usize, end: usize, cost: usize) {
+        self.arcs[s] += self.cost[s];
+        (self.lo[s], self.hi[s], self.cost[s]) = (start, end, cost);
+        self.seen[s] += end - start;
+        if self.seen[s] > self.max_seen || self.arcs[s] + cost > self.max_arcs {
+            self.live[s] = false;
+        }
     }
 }
 
@@ -445,7 +715,7 @@ impl BccEngine {
     /// `fresh_alloc_bytes == 0`.
     pub fn attach(&mut self, g: &Graph) -> &BccResult {
         let n = g.n();
-        // The certificate's residual BFS numbers vertex `w`'s states
+        // The certificate's residual search numbers vertex `w`'s states
         // `2w` and `2w + 1` in a `u32`.
         assert!(
             n <= 1 << 31,
@@ -598,12 +868,26 @@ impl BccEngine {
                 report.dels_skipped += 1;
                 continue;
             };
-            if self.dynamic.cert_two_disjoint(&new, u, v) == Some(true) {
+            let in_block = block_of(
+                &self.result.labels,
+                region,
+                self.result.head[region as usize],
+            );
+            let cert = self.dynamic.cert_two_disjoint(&new, u, v, in_block);
+            if cert == Cert::Pass {
                 // The block stays biconnected: nothing changes.
                 report.dels_cert_pass += 1;
                 continue;
             }
-            if !self.sub_solve(&old, &new, region) {
+            // A block is its class plus its head: at most `SUB_CAP` vertices
+            // are re-solved whole, a larger block is peeled.
+            let peel_above = self.dynamic.peel_above.unwrap_or(SUB_CAP);
+            let repaired = if (self.result.label_count[region as usize] as usize) < peel_above {
+                self.sub_solve(&old, &new, region)
+            } else {
+                self.peel(&old, &new, region, [u, v], cert)
+            };
+            if !repaired {
                 return self.fallback(old, new, report, FB_REGION);
             }
             report.dels_sub_solve += 1;
@@ -644,7 +928,7 @@ impl BccEngine {
                     // Otherwise one endpoint's whole component is
                     // re-solved locally and hung under the other, gated
                     // only by the region caps.
-                    if !(self.try_region_reroot(&new, u, v) || self.try_region_reroot(&new, v, u)) {
+                    if !self.try_region_reroot(&new, [u, v]) {
                         return self.fallback(old, new, report, FB_CROSS);
                     }
                     report.adds_rerooted += 1;
@@ -747,52 +1031,35 @@ impl BccEngine {
         reached
     }
 
-    /// Absorb a cross-tree insertion by re-solving `root_end`'s *entire*
-    /// component locally, rooted at `root_end`, then hanging it under
-    /// `anchor` as a fresh bridge, bounded by the component size.
+    /// Absorb a cross-tree insertion `(u, v)` by re-solving one endpoint's
+    /// *entire* component locally, rooted at that endpoint (`root_end`),
+    /// then hanging it under the other (`anchor`) as a fresh bridge,
+    /// bounded by the component size.
     ///
-    /// The component is collected by BFS over the *new* adjacency with the
-    /// `anchor` vertex held out, so the region is closed under every
-    /// remaining batch insertion except edges incident to `anchor` itself:
-    /// the local solve computes end-of-batch labels for the region and
-    /// later intra-region insertions degrade to no-ops. The rescue is
-    /// abandoned if the anchor has any new-graph edge into the region
-    /// other than `(root_end, anchor)` itself — a second tie means the
-    /// flood crossed into the anchor's own component (the new edge would
-    /// not even be a bridge), and splicing those vertices would corrupt
-    /// the forest. Splicing overwrites
-    /// `labels`/`head`/`label_count` for every member and resets their DSU
-    /// entries (no live label outside the region can resolve to a class id
-    /// inside it — classes never span components), so the rescue composes
-    /// with earlier merges, region re-solves, and the pending relabel.
-    /// Returns false, with the failed flood charged to the batch work
-    /// budget, when the component exceeds [`SUB_CAP`] vertices or
-    /// [`SUB_ARC_CAP`] scanned arcs or fails the single-tie check; the
-    /// caller then tries the other side, then falls back.
-    fn try_region_reroot(&mut self, new: &Graph, root_end: V, anchor: V) -> bool {
-        let dy = &mut self.dynamic;
-        let Some((era, mut arcs_scanned)) = dy.flood(&[new], root_end, |w| w != anchor) else {
+    /// Both components are flooded at once over the *new* adjacency, the
+    /// cheaper frontier first, and the side whose flood closes first is
+    /// the one re-solved, so a giant component on one side costs about as
+    /// much as the small one on the other. Each flood holds the other
+    /// endpoint out, so a region is closed under every remaining batch
+    /// insertion except edges incident to its anchor: the local solve
+    /// computes end-of-batch labels for the region and later intra-region
+    /// insertions degrade to no-ops. The rescue is abandoned when the
+    /// floods meet or a flood reaches the other endpoint other than over
+    /// `(u, v)` itself — a second tie means the new edge is not even a
+    /// bridge, and splicing those vertices would corrupt the forest.
+    /// Splicing overwrites `labels`/`head`/`label_count` for every member
+    /// and resets their DSU entries (no live label outside the region can
+    /// resolve to a class id inside it — classes never span components),
+    /// so the rescue composes with earlier merges, region re-solves, and
+    /// the pending relabel. Returns false, with the failed floods charged
+    /// to the batch work budget, when both components exceed [`SUB_CAP`]
+    /// vertices or [`SUB_ARC_CAP`] scanned arcs or the floods tie; the
+    /// caller then falls back.
+    fn try_region_reroot(&mut self, new: &Graph, ends: [V; 2]) -> bool {
+        let Some((side, era, arcs_scanned)) = self.dynamic.flood(&[new], &ends, |_| true) else {
             return false;
         };
-
-        // The splice treats (root_end, anchor) as the region's only tie to
-        // the rest of the graph — that is what makes the new edge a true
-        // bridge and the anchor-excluded local solve exact. A second
-        // new-graph edge from `anchor` into the collected set (e.g. a
-        // later insertion of this same batch reaching around the anchor)
-        // falsifies both: the flood has swallowed vertices of the anchor's
-        // own component, and splicing them under the anchor would corrupt
-        // the forest (the anchor's head chain runs inside the region).
-        arcs_scanned += new.degree(anchor);
-        if new
-            .neighbors(anchor)
-            .iter()
-            .any(|&w| w != root_end && dy.mark[w as usize] == era)
-        {
-            dy.work_budget = dy.work_budget.saturating_sub(dy.queue.len() + arcs_scanned);
-            return false;
-        }
-
+        let (root_end, anchor) = (ends[side], ends[side ^ 1]);
         // `anchor` is unmarked, so its arcs — including the one being
         // absorbed — stay out of the region search. Every member is
         // spliced: unlike the block-anchored sub-solve there is no
@@ -813,12 +1080,8 @@ impl BccEngine {
     fn merge_path(&mut self, u: V, lu: u32, v: V, lv: u32) -> Result<(), &'static str> {
         let dy = &mut self.dynamic;
         let res = &self.result;
-        // One era per side. When `next_era` cleared `mark` for the second,
-        // the first predates the clear and is taken again.
-        let mut eras = [dy.next_era(), dy.next_era()];
-        if eras[1] < eras[0] {
-            eras[0] = dy.next_era();
-        }
+        // One era per side.
+        let eras = dy.next_eras::<2>();
         dy.chains[0].clear();
         dy.chains[1].clear();
 
@@ -908,7 +1171,8 @@ impl BccEngine {
         // for reachability; the new lists cover batch insertions).
         let labels = &self.result.labels;
         let in_block = |w: V| labels[w as usize] == region;
-        let Some((era, arcs_scanned)) = self.dynamic.flood(&[old, new], anchor, in_block) else {
+        let Some((_, era, arcs_scanned)) = self.dynamic.flood(&[old, new], &[anchor], in_block)
+        else {
             return false;
         };
 
@@ -919,6 +1183,83 @@ impl BccEngine {
         // block edge.
         self.solve_region(new, era, arcs_scanned, 1);
         true
+    }
+
+    /// Split block `region`, too large to re-solve whole, after its
+    /// certificate for the deletion `del` failed with `cert`: one end block
+    /// at a time. The blocks of the block minus the deleted edge form a
+    /// path between the endpoints' blocks, and a failed certificate's
+    /// exhausted side is the end block at its end without the cut vertex
+    /// `c` that closes it (plus whatever hangs off it). That side plus `c`
+    /// is re-solved in place rooted at `c` (`first == 1`), so it becomes
+    /// new classes under `c`; the end moves to `c`, P1 keeps the part past
+    /// `c`, and only the residual search runs again, until it passes or
+    /// the ends meet in one edge. A side that holds the block's head or its
+    /// class id stays (the rest could keep neither), and the other end is
+    /// searched alone and peeled instead.
+    ///
+    /// Returns false (the caller falls back) when the certificate was
+    /// undecided, both ends' sides pass [`SUB_CAP`] vertices or hold the
+    /// head or the class id, or another deleted edge joins a side to the
+    /// rest of the block: the rest then need not stay one block, and no
+    /// certificate of its own deletion would see that once the side is
+    /// peeled.
+    fn peel(&mut self, old: &Graph, new: &Graph, region: u32, del: [V; 2], mut cert: Cert) -> bool {
+        let h = self.result.head[region as usize];
+        let mut ends = del;
+        let mut alone = false;
+        loop {
+            let Cert::Split { side, era } = cert else {
+                return cert == Cert::Pass;
+            };
+            let in_block = block_of(&self.result.labels, region, h);
+            let dy = &mut self.dynamic;
+            if !dy.gather_side(new, ends, side, era, |w| w != h && w != region) {
+                if alone {
+                    return false;
+                }
+                alone = true;
+                let live = [side == 1, side == 0];
+                cert = dy.residual(new, ends, live, in_block);
+                continue;
+            }
+            alone = false;
+            let c = dy.queue[0];
+            let r = dy.next_era();
+            let mut arcs_scanned = 0;
+            for &w in &dy.queue {
+                dy.mark[w as usize] = r;
+                arcs_scanned += new.degree(w);
+            }
+            // The side is closed under the new graph's edges inside the
+            // block, so an old edge from it to the rest was deleted.
+            let rest = |z: V| dy.mark[z as usize] != r && in_block(z);
+            for &w in &dy.queue[1..] {
+                arcs_scanned += old.degree(w);
+                if old
+                    .neighbors(w)
+                    .iter()
+                    .any(|&z| rest(z) && [w.min(z), w.max(z)] != del)
+                {
+                    return false;
+                }
+            }
+            let k = dy.queue.len() as u32 - 1;
+            self.solve_region(new, r, arcs_scanned, 1);
+            self.result.label_count[region as usize] -= k;
+            let dy = &mut self.dynamic;
+            if r > dy.p1 {
+                // Back on P1; after a wrap `residual` marks P1 afresh.
+                dy.mark[c as usize] = dy.p1;
+            }
+            ends[side] = c;
+            cert = dy.residual(
+                new,
+                ends,
+                [true; 2],
+                block_of(&self.result.labels, region, h),
+            );
+        }
     }
 
     /// Solve the subgraph of `new` induced by the region members that
@@ -1232,9 +1573,11 @@ mod tests {
 
     /// The exact certificate against the BCCs of a fresh solve: after
     /// deleting any edge `(u, v)`, two internally disjoint `u`–`v` paths
-    /// exist iff `u` and `v` still share a block.
+    /// exist iff `u` and `v` still share a block. When they do not, the
+    /// exhausted side is the component of its own end once the cut vertex
+    /// the peel roots at is removed, and that vertex separates the ends.
     #[test]
-    fn cert_bfs_decides_same_bcc_after_each_deletion() {
+    fn cert_decides_same_bcc_after_each_deletion() {
         for g in [
             rmat(6, 160, 7),
             grid2d(6, 5, false),
@@ -1244,16 +1587,200 @@ mod tests {
             let edges: Vec<(V, V)> = g.iter_edges().collect();
             let mut dy = DynState::default();
             dy.reset_for(g.n());
-            // Start a few eras short of the wrap, so BFS1 and P1 cross it.
+            // Start a few eras short of the wrap, so the searches cross it.
             dy.era = u32::MAX - 4;
             for &(u, v) in &edges {
                 let rest: Vec<(V, V)> = edges.iter().copied().filter(|&e| e != (u, v)).collect();
                 let h = fastbcc_graph::builder::from_edges(g.n(), &rest);
                 dy.work_budget = usize::MAX;
                 let want = fast_bcc(&h, BccOpts::default()).same_bcc(u, v);
-                assert_eq!(dy.cert_bfs(&h, u, v), Some(want), "edge ({u}, {v})");
+                let cert = match dy.first_path(&h, u, v, |_| true) {
+                    true => dy.residual(&h, [u, v], [true; 2], |_| true),
+                    false => Cert::Unknown,
+                };
+                let ctx = format!("edge ({u}, {v}): {cert:?}");
+                match cert {
+                    Cert::Pass => assert!(want, "{ctx}"),
+                    Cert::Unknown => {
+                        assert!(
+                            component_without(&h, u, NONE).binary_search(&v).is_err(),
+                            "{ctx}"
+                        )
+                    }
+                    Cert::Split { side, era } => {
+                        assert!(!want, "{ctx}");
+                        assert!(dy.gather_side(&h, [u, v], side, era, |_| true), "{ctx}");
+                        let c = dy.queue[0];
+                        let mut got = dy.queue[1..].to_vec();
+                        got.sort_unstable();
+                        let end = [u, v][side];
+                        let comp = component_without(&h, end, c);
+                        assert_eq!(got, comp, "{ctx}, cut {c}");
+                        assert!(comp.binary_search(&[u, v][side ^ 1]).is_err(), "{ctx}");
+                    }
+                }
             }
         }
+    }
+
+    /// The sorted vertices reachable from `s` in `g` without entering `cut`.
+    fn component_without(g: &Graph, s: V, cut: V) -> Vec<V> {
+        let mut seen = vec![false; g.n()];
+        let mut stack = vec![s];
+        seen[s as usize] = true;
+        while let Some(x) = stack.pop() {
+            for &w in g.neighbors(x) {
+                if w != cut && !seen[w as usize] {
+                    seen[w as usize] = true;
+                    stack.push(w);
+                }
+            }
+        }
+        (0..g.n() as V).filter(|&x| seen[x as usize]).collect()
+    }
+
+    /// Hubs `H1`, `H2` and 70,000 leaves each adjacent to both, plus
+    /// `u–H1`, `v–H2`, a common neighbour `y` of `u` and `v`, and `u–v`:
+    /// one block of 70,005 vertices, too many for one certificate side to
+    /// flood within [`CERT_CAP`]. `ids` numbers `[H1, H2, u, v, y]`; the
+    /// leaves take the other ids in order.
+    fn two_hubs(ids: [V; 5]) -> Graph {
+        const LEAVES: usize = 70_000;
+        let [h1, h2, u, v, y] = ids;
+        let mut edges = vec![(u, h1), (v, h2), (u, y), (v, y), (u, v)];
+        let leaves = (0..(LEAVES + 5) as V).filter(|x| !ids.contains(x));
+        edges.extend(leaves.flat_map(|l| [(l, h1), (l, h2)]));
+        fastbcc_graph::builder::from_edges(LEAVES + 5, &edges)
+    }
+
+    /// Deleting `u–v` leaves `u–y–v` beside `u–H1–leaf–H2–v`: the
+    /// two-sided certificate finds both without flooding either hub's
+    /// leaves from one side alone, so the batch stays incremental.
+    #[test]
+    fn two_hub_deletion_passes_its_certificate() {
+        for budget in [1, DFS_MAX_BUDGET + 1] {
+            fastbcc_primitives::with_threads(budget, || {
+                let mut e = BccEngine::new(BccOpts::default());
+                e.attach(&two_hubs([0, 1, 2, 3, 4]));
+                e.apply_batch(&[], &[(2, 3)]);
+                let rep = e.last_apply_report().unwrap();
+                assert!(rep.incremental, "fell back: {:?}", rep.fallback);
+                assert_eq!((rep.dels_cert_pass, rep.dels_sub_solve), (1, 0));
+                assert_eq!(e.result.num_bcc, 1);
+                assert_matches_fresh(&e, "u–v deleted");
+            });
+        }
+    }
+
+    /// Deleting a leaf's `H1` edge splits the giant block into the block
+    /// without the leaf and the bridge from the leaf to `H2`: the peel
+    /// re-solves just the leaf and `H2`, and the re-certified rest passes.
+    #[test]
+    fn two_hub_leaf_deletion_peels_the_leaf() {
+        for budget in [1, DFS_MAX_BUDGET + 1] {
+            fastbcc_primitives::with_threads(budget, || {
+                let mut e = BccEngine::new(BccOpts::default());
+                e.attach(&two_hubs([0, 1, 2, 3, 4]));
+                let r = e.result();
+                let l = r.labels[5];
+                let leaf = (5..).find(|&x| x != l && x != r.head[l as usize]).unwrap();
+                e.apply_batch(&[], &[(0, leaf)]);
+                let rep = e.last_apply_report().unwrap();
+                assert!(rep.incremental, "fell back: {:?}", rep.fallback);
+                assert_eq!((rep.dels_cert_pass, rep.dels_sub_solve), (0, 1));
+                let r = e.result();
+                assert_eq!(
+                    (r.num_bcc, r.labels[leaf as usize], r.head[leaf as usize]),
+                    (2, leaf, 1)
+                );
+                assert_eq!(r.label_count[l as usize], 70_003);
+                assert_matches_fresh(&e, "leaf peeled");
+            });
+        }
+    }
+
+    /// A peel whose small side holds the block's head or class id cannot
+    /// leave the rest with its class, so the batch falls back and matches
+    /// a fresh solve all the same. At budget 1 the DFS roots at vertex 0,
+    /// which heads the block, and the block's class id is 0's smallest
+    /// neighbour.
+    #[test]
+    fn two_hub_peel_of_the_head_or_class_id_falls_back() {
+        fastbcc_primitives::with_threads(1, || {
+            // Vertex 0 is a leaf and heads the block; cutting its `H1`
+            // edge leaves it on the small side.
+            let mut e = BccEngine::new(BccOpts::default());
+            e.attach(&two_hubs([1, 2, 3, 4, 5]));
+            assert_eq!(e.result.head[e.result.labels[1] as usize], 0);
+            e.apply_batch(&[], &[(0, 1)]);
+            let rep = e.last_apply_report().unwrap();
+            assert_eq!(rep.fallback, Some(FB_REGION));
+            assert_matches_fresh(&e, "head peeled");
+            // `u` is `H1`'s smallest neighbour, so the block's class id;
+            // without `u–H1`, `{u, y}` hangs off `v`.
+            let mut e = BccEngine::new(BccOpts::default());
+            e.attach(&two_hubs([0, 1, 2, 3, 4]));
+            assert_eq!(e.result.labels[5], 2);
+            e.apply_batch(&[], &[(0, 2)]);
+            let rep = e.last_apply_report().unwrap();
+            assert_eq!(rep.fallback, Some(FB_REGION));
+            assert_matches_fresh(&e, "class id peeled");
+        });
+    }
+
+    /// A cycle longer than [`SUB_CAP`] loses an edge: its block becomes a
+    /// path of bridges, peeled one vertex at a time. At budget 1 the block
+    /// is headed by 0 with class id 1, so the peel from `2500`'s end stops
+    /// at 1 and the rest comes from `2501`'s end, until the ends are the
+    /// single edge `1–0`.
+    #[test]
+    fn cycle_split_peels_from_both_ends() {
+        fastbcc_primitives::with_threads(1, || {
+            let mut e = BccEngine::new(BccOpts::default());
+            e.attach(&cycle(5000));
+            assert_eq!((e.result.labels[2500], e.result.head[1]), (1, 0));
+            e.apply_batch(&[], &[(2500, 2501)]);
+            let rep = e.last_apply_report().unwrap();
+            assert!(rep.incremental, "fell back: {:?}", rep.fallback);
+            assert_eq!(rep.dels_sub_solve, 1);
+            assert_eq!(e.result.num_bcc, 4999);
+            assert_matches_fresh(&e, "cycle split");
+        });
+    }
+
+    /// One block: triangles `{0, 1, 2}` and `{0, 3, 4}` on vertex 0, the
+    /// path `0–5–6`, and the edges `1–5` and `3–6` that tie them together.
+    /// Deleting `1–5` and `3–6` in one batch leaves four blocks. With every
+    /// block peeled, `1–5` peels `{5, 6}` off at 0 and the rest `{0..=4}`
+    /// still passes its certificate for `(0, 1)`, but the later deletion
+    /// `3–6` joined the peeled side to `{0, 3, 4}`: the rest is two blocks,
+    /// and once `{5, 6}` is peeled no certificate of `3–6` would see it.
+    #[test]
+    fn peel_falls_back_when_a_later_deletion_crosses_the_side() {
+        fastbcc_primitives::with_threads(1, || {
+            let edges = [
+                (0, 1),
+                (0, 2),
+                (1, 2),
+                (0, 3),
+                (0, 4),
+                (3, 4),
+                (0, 5),
+                (5, 6),
+                (1, 5),
+                (3, 6),
+            ];
+            let mut e = BccEngine::new(BccOpts::default());
+            e.dynamic.churn_frac = Some(1.0);
+            e.dynamic.peel_above = Some(0);
+            e.attach(&fastbcc_graph::builder::from_edges(7, &edges));
+            assert_eq!(e.result.num_bcc, 1);
+            e.apply_batch(&[], &[(1, 5), (3, 6)]);
+            let rep = e.last_apply_report().unwrap();
+            assert_eq!(rep.fallback, Some(FB_REGION));
+            assert_eq!(e.result.num_bcc, 4);
+            assert_matches_fresh(&e, "side crossed by a later deletion");
+        });
     }
 
     #[test]
@@ -1416,17 +1943,30 @@ mod tests {
             (n, init, script) in arb_scripted_graph(40, 90)
         ) {
             for budget in [1, DFS_MAX_BUDGET, DFS_MAX_BUDGET + 1] {
-                fastbcc_primitives::with_threads(budget, || run_ungated(n, &init, &script));
+                fastbcc_primitives::with_threads(budget, || run_ungated(n, &init, &script, None));
+            }
+        }
+
+        /// The same scripts with every block peeled, however small, so
+        /// the peel meets several deletions in one block, deletions that
+        /// cross a peeled side, and heads and class ids on the small side.
+        #[test]
+        fn peeled_batches_match_fresh_solves(
+            (n, init, script) in arb_scripted_graph(40, 90)
+        ) {
+            for budget in [1, DFS_MAX_BUDGET + 1] {
+                fastbcc_primitives::with_threads(budget, || run_ungated(n, &init, &script, Some(0)));
             }
         }
     }
 
     /// One scripted run with the churn gate off, checked after every batch.
-    fn run_ungated(n: usize, init: &[(V, V)], script: &Script) {
+    fn run_ungated(n: usize, init: &[(V, V)], script: &Script, peel_above: Option<usize>) {
         let g0 = fastbcc_graph::builder::from_edges(n, init);
         let mut live: Vec<(V, V)> = g0.iter_edges().collect();
         let mut e = BccEngine::new(BccOpts::default());
         e.dynamic.churn_frac = Some(1.0);
+        e.dynamic.peel_above = peel_above;
         e.attach(&g0);
         for (bi, (adds, del_picks)) in script.iter().enumerate() {
             let mut dels: Vec<(V, V)> = del_picks
